@@ -15,6 +15,7 @@ benchmark-scale substitution for the paper's EC2-resident 10^7-item files.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
 from repro.core.tree import ModulationTree
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.sha1 import Sha1
 from repro.protocol.channel import LoopbackChannel
 from repro.server.server import CloudServer
 from repro.server.storage import CallbackCiphertextStore
@@ -50,22 +50,16 @@ class SeededFile:
 
 
 def _derive_nonce(seed: bytes, item_id: int) -> bytes:
-    hasher = Sha1()
-    hasher.update(seed)
-    hasher.update(b"nonce")
-    hasher.update(struct.pack(">Q", item_id))
-    return hasher.digest()[:8]
+    data = seed + b"nonce" + struct.pack(">Q", item_id)
+    return hashlib.sha1(data).digest()[:8]
 
 
 def _derive_payload(seed: bytes, item_id: int, size: int) -> bytes:
     """Deterministic item contents (vectorised keystream expansion)."""
     if size == 0:
         return b""
-    hasher = Sha1()
-    hasher.update(seed)
-    hasher.update(b"payload")
-    hasher.update(struct.pack(">Q", item_id))
-    digest = hasher.digest()
+    data = seed + b"payload" + struct.pack(">Q", item_id)
+    digest = hashlib.sha1(data).digest()
     from repro.crypto.bulk import keystream
     return keystream(digest[:16], digest[16:] + b"\x00" * 4,
                      (size + 15) // 16)[:size]

@@ -19,7 +19,7 @@ from repro.baselines.base import DeletionScheme
 from repro.client.keystore import KeyStore
 from repro.core.ciphertext import ItemCodec
 from repro.core.params import Params
-from repro.crypto.prf import prf, prf_many
+from repro.crypto.prf import prf
 from repro.crypto.rng import RandomSource, SystemRandom
 from repro.protocol import messages as msg
 from repro.protocol.channel import Channel
@@ -50,9 +50,7 @@ class MasterKeySolution(DeletionScheme):
                    hash_factory=self.params.chain_hash)
 
     def _keys_for(self, master_key: bytes, item_ids: list[int]) -> list[bytes]:
-        return prf_many(master_key, item_ids,
-                        length=self.params.chain_hash().digest_size,
-                        hash_factory=self.params.chain_hash)
+        return [self._key_for(master_key, item_id) for item_id in item_ids]
 
     def outsource(self, items: list[bytes]) -> list[int]:
         begin = self._begin()

@@ -718,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="independent server shards behind the "
                              "consistent-hash router")
     stress.add_argument("--toggle-caches", action="store_true",
-                        help="randomly flip the hot-path caches mid-run")
+                        help="randomly flip the server view cache mid-run")
     stress.add_argument("--backend", choices=("memory", "log", "sqlite"),
                         default="memory",
                         help="storage engine behind the stressed shards "

@@ -67,29 +67,6 @@ def _traced(op: str):
     return decorate
 
 
-class _FileCache:
-    """Per-file cache of verified chain outputs (client hot-path state).
-
-    ``outputs`` maps item id -> chain output *verified by decrypt-verify*
-    under ``master_key`` at tree version ``version``.  Lemma 1 is what
-    makes the cache sound across mutations performed through this client:
-    deletions (single and batched) rewrite the tree so that every
-    *surviving* item's chain output is preserved under the new master
-    key, and insertion's releaf assignment preserves the split leaf's
-    output -- so entries survive a key rotation by updating
-    ``master_key``/``version`` in place and dropping only the deleted
-    ids.  Any version change the client did not perform itself empties
-    the entry (conservative: another writer may have rotated the key).
-    """
-
-    __slots__ = ("master_key", "version", "outputs")
-
-    def __init__(self, master_key: bytes, version: int) -> None:
-        self.master_key = master_key
-        self.version = version
-        self.outputs: dict[int, bytes] = {}
-
-
 class AssuredDeletionClient:
     """Protocol client holding (or relaying) the master keys."""
 
@@ -100,8 +77,7 @@ class AssuredDeletionClient:
                  rng: RandomSource | None = None,
                  metrics: MetricsCollector | None = None,
                  keystore: KeyStore | None = None,
-                 store_keys: bool = True,
-                 cache: bool = False) -> None:
+                 store_keys: bool = True) -> None:
         self.params = params if params is not None else Params()
         self.engine = ChainEngine(self.params.chain_hash)
         self.codec = ItemCodec(self.params)
@@ -121,85 +97,6 @@ class AssuredDeletionClient:
         self._pending_batch_deletes: dict[
             tuple[int, tuple[int, ...]],
             tuple[msg.BatchDeleteCommit, bytes]] = {}
-        # Opt-in chain cache (see _FileCache).  Off by default so metered
-        # hash-call experiments keep their paper-exact counts.
-        self.cache_enabled = cache
-        self._caches: dict[int, _FileCache] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    # ------------------------------------------------------------------
-    # Chain cache (hot-path state; see _FileCache for the invariant)
-    # ------------------------------------------------------------------
-
-    def enable_cache(self) -> None:
-        """Turn the per-file chain cache on (idempotent)."""
-        self.cache_enabled = True
-
-    def disable_cache(self) -> None:
-        """Turn the chain cache off and drop all cached state."""
-        self.cache_enabled = False
-        self._caches.clear()
-
-    def invalidate_cache(self, file_id: int | None = None) -> None:
-        """Drop cached chain state for one file (or all files)."""
-        if file_id is None:
-            self._caches.clear()
-        else:
-            self._caches.pop(file_id, None)
-
-    def _note_cache(self, op: str, hit: bool) -> None:
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            counter = ins.CLIENT_CACHE_HITS if hit else ins.CLIENT_CACHE_MISSES
-            counter.inc(op=op)
-
-    def _cache_entry(self, file_id: int, master_key: bytes,
-                     version: int) -> Optional[_FileCache]:
-        """The file's cache entry iff it matches this key and version."""
-        if not self.cache_enabled:
-            return None
-        entry = self._caches.get(file_id)
-        if (entry is not None and entry.master_key == master_key
-                and entry.version == version):
-            return entry
-        return None
-
-    def _cache_store(self, file_id: int, master_key: bytes, version: int,
-                     outputs: dict[int, bytes]) -> None:
-        """Record decrypt-verified chain outputs for ``(key, version)``."""
-        if not self.cache_enabled:
-            return
-        entry = self._caches.get(file_id)
-        if (entry is None or entry.master_key != master_key
-                or entry.version != version):
-            entry = _FileCache(master_key, version)
-            self._caches[file_id] = entry
-        entry.outputs.update(outputs)
-
-    def _cache_rotate(self, file_id: int, old_key: bytes, new_key: bytes,
-                      version: int, deleted_ids: Sequence[int]) -> None:
-        """Carry a cache entry across a deletion's key rotation.
-
-        By Lemma 1 the committed deltas preserve every surviving item's
-        chain output under ``new_key``, so the entry survives with its
-        outputs intact minus the deleted ids.  An entry under any other
-        key is stale beyond repair and is dropped.
-        """
-        entry = self._caches.get(file_id)
-        if entry is None:
-            return
-        if entry.master_key != old_key:
-            self._caches.pop(file_id, None)
-            return
-        entry.master_key = new_key
-        entry.version = version
-        for item_id in deleted_ids:
-            entry.outputs.pop(item_id, None)
 
     # ------------------------------------------------------------------
     # Measurement plumbing
@@ -292,7 +189,7 @@ class AssuredDeletionClient:
                 links=tuple(links), leaves=tuple(leaves),
                 ciphertexts=ciphertexts, request_id=self._request_id())
             try:
-                ack = self._expect(self.channel.request(request), msg.Ack)
+                self._expect(self.channel.request(request), msg.Ack)
             except DuplicateModulatorError:
                 retries += 1
                 if retries > self.max_retries:
@@ -301,12 +198,6 @@ class AssuredDeletionClient:
             break
 
         self._last_item_ids = list(item_ids)
-        if self.cache_enabled:
-            # Seed the chain cache: every output was just derived anyway.
-            self._caches.pop(file_id, None)
-            self._cache_store(file_id, master_key, ack.tree_version,
-                              {item_id: outputs[n + i]
-                               for i, item_id in enumerate(item_ids)})
         if self.store_keys:
             self.keystore.put(self._key_name(file_id), master_key)
         self._finish("outsource", begin, retries)
@@ -338,40 +229,21 @@ class AssuredDeletionClient:
     # ------------------------------------------------------------------
 
     def _fetch_verified(self, file_id: int, master_key: bytes,
-                        item_id: int, *,
-                        op: str = "access") -> tuple[bytes, bytes, int]:
-        """Shared access path: returns (message, chain_output, version).
-
-        A warm chain-cache hit skips the structural checks and the
-        ``O(log n)`` chain evaluation; decrypt-verify (tag plus recovered
-        item id) still runs on every call, so a wrong cached output can
-        only fail closed, never yield a wrong plaintext.
-        """
+                        item_id: int) -> tuple[bytes, bytes, int]:
+        """Shared access path: returns (message, chain_output, version)."""
         reply = self._expect(
             self.channel.request(msg.AccessRequest(file_id=file_id,
                                                    item_id=item_id)),
             msg.AccessReply)
-        cached = None
-        if self.cache_enabled:
-            entry = self._cache_entry(file_id, master_key, reply.tree_version)
-            if entry is not None:
-                cached = entry.outputs.get(item_id)
-            self._note_cache(op, cached is not None)
-        if cached is not None:
-            chain_output = cached
-        else:
-            ops.verify_path_structure(reply.path)
-            ops.verify_distinct_modulators(reply.path.modulator_list())
-            chain_output = ops.chain_output_for_path(self.engine, master_key,
-                                                     reply.path)
+        ops.verify_path_structure(reply.path)
+        ops.verify_distinct_modulators(reply.path.modulator_list())
+        chain_output = ops.chain_output_for_path(self.engine, master_key,
+                                                 reply.path)
         message, recovered_id = self.codec.decrypt(chain_output,
                                                    reply.ciphertext)
         if recovered_id != item_id:
             raise IntegrityError(
                 f"server returned item {recovered_id} instead of {item_id}")
-        if cached is None:
-            self._cache_store(file_id, master_key, reply.tree_version,
-                              {item_id: chain_output})
         return message, chain_output, reply.tree_version
 
     @_traced("access")
@@ -391,7 +263,7 @@ class AssuredDeletionClient:
         retries = 0
         while True:
             _old, chain_output, version = self._fetch_verified(
-                file_id, master_key, item_id, op="modify")
+                file_id, master_key, item_id)
             ciphertext = self.codec.encrypt(chain_output, new_message,
                                             item_id, self.rng.bytes(8))
             try:
@@ -428,7 +300,7 @@ class AssuredDeletionClient:
             ciphertext = self.codec.encrypt(commit.chain_output, message,
                                             item_id, self.rng.bytes(8))
             try:
-                ack = self._expect(
+                self._expect(
                     self.channel.request(msg.InsertCommit(
                         file_id=file_id, item_id=item_id,
                         t_new_link=commit.t_new_link,
@@ -444,17 +316,6 @@ class AssuredDeletionClient:
                     raise
                 continue
             break
-        if self.cache_enabled:
-            # The split leaf's releaf assignment preserves the existing
-            # item's chain output, so surviving entries carry over.
-            entry = self._caches.get(file_id)
-            if entry is not None:
-                if (entry.master_key == master_key
-                        and entry.version == challenge.tree_version):
-                    entry.version = ack.tree_version
-                    entry.outputs[item_id] = commit.chain_output
-                else:
-                    self._caches.pop(file_id, None)
         self._finish("insert", begin, retries)
         return item_id
 
@@ -552,7 +413,7 @@ class AssuredDeletionClient:
             # already hold the delta-adjusted tree under new_key.
             self._pending_deletes[(file_id, item_id)] = (commit, new_key)
             try:
-                ack = self._expect(self.channel.request(commit), msg.Ack)
+                self._expect(self.channel.request(commit), msg.Ack)
             except DuplicateModulatorError:
                 self._pending_deletes.pop((file_id, item_id), None)
                 retries += 1
@@ -562,9 +423,6 @@ class AssuredDeletionClient:
             break
 
         self._pending_deletes.pop((file_id, item_id), None)
-        if self.cache_enabled:
-            self._cache_rotate(file_id, master_key, new_key,
-                               ack.tree_version, (item_id,))
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
             self.keystore.put(self._key_name(file_id), new_key)
@@ -593,7 +451,6 @@ class AssuredDeletionClient:
         begin = self._begin()
         self._expect(self.channel.request(commit), msg.Ack)
         self._pending_deletes.pop((file_id, item_id), None)
-        self._caches.pop(file_id, None)
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
             self.keystore.put(self._key_name(file_id), new_key)
@@ -611,8 +468,8 @@ class AssuredDeletionClient:
 
         One key rotation and one round-trip pair replace ``k`` sequential
         deletions: the union cut of all target paths is compensated by a
-        single fresh master key, all chain evaluations ride the vectorised
-        ``step_many`` lanes, and the ``k`` rebalancing moves are simulated
+        single fresh master key, all chain evaluations are batched through
+        ``step_many``, and the ``k`` rebalancing moves are simulated
         locally from the balance band in the view.  Semantics are
         identical to deleting the items one by one (in the given order);
         returns the new master key.
@@ -678,7 +535,7 @@ class AssuredDeletionClient:
             self._pending_batch_deletes[(file_id, item_ids)] = (commit,
                                                                 new_key)
             try:
-                ack = self._expect(self.channel.request(commit), msg.Ack)
+                self._expect(self.channel.request(commit), msg.Ack)
             except DuplicateModulatorError:
                 self._pending_batch_deletes.pop((file_id, item_ids), None)
                 retries += 1
@@ -691,9 +548,6 @@ class AssuredDeletionClient:
             break
 
         self._pending_batch_deletes.pop((file_id, item_ids), None)
-        if self.cache_enabled:
-            self._cache_rotate(file_id, master_key, new_key,
-                               ack.tree_version, item_ids)
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
             self.keystore.put(self._key_name(file_id), new_key)
@@ -723,7 +577,6 @@ class AssuredDeletionClient:
         begin = self._begin()
         self._expect(self.channel.request(commit), msg.Ack)
         self._pending_batch_deletes.pop(key, None)
-        self._caches.pop(file_id, None)
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
             self.keystore.put(self._key_name(file_id), new_key)
@@ -744,19 +597,9 @@ class AssuredDeletionClient:
         n = reply.n_leaves
         if len(reply.item_ids) != n or len(reply.ciphertexts) != n:
             raise ProtocolError("whole-file reply is inconsistent")
-        leaf_outputs: Optional[list[bytes]] = None
-        if self.cache_enabled:
-            entry = self._cache_entry(file_id, master_key, reply.tree_version)
-            if entry is not None and all(item_id in entry.outputs
-                                         for item_id in reply.item_ids):
-                leaf_outputs = [entry.outputs[item_id]
-                                for item_id in reply.item_ids]
-            self._note_cache("fetch_file", leaf_outputs is not None)
-        warm = leaf_outputs is not None
-        if leaf_outputs is None:
-            outputs = self._derive_outputs(master_key, n, reply.links,
-                                           reply.leaves)
-            leaf_outputs = [outputs[n + i] for i in range(n)]
+        outputs = self._derive_outputs(master_key, n, reply.links,
+                                       reply.leaves)
+        leaf_outputs = [outputs[n + i] for i in range(n)]
         decrypted = self.codec.decrypt_many(leaf_outputs,
                                             list(reply.ciphertexts))
         result: dict[int, bytes] = {}
@@ -767,9 +610,6 @@ class AssuredDeletionClient:
                     f"item id mismatch in whole-file fetch: "
                     f"{recovered_id} != {item_id}")
             result[item_id] = message
-        if not warm:
-            self._cache_store(file_id, master_key, reply.tree_version,
-                              dict(zip(reply.item_ids, leaf_outputs)))
         self._finish("fetch_file", begin)
         return result
 
@@ -781,5 +621,4 @@ class AssuredDeletionClient:
             self.channel.request(msg.DeleteFileRequest(
                 file_id=file_id, request_id=self._request_id())),
             msg.Ack)
-        self._caches.pop(file_id, None)
         self._finish("delete_file_state", begin)

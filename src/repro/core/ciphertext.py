@@ -21,6 +21,7 @@ keystream.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.core.errors import IntegrityError
@@ -57,8 +58,7 @@ class ItemCodec:
         return chain_output[:self._params.data_key_size]
 
     def _item_hash(self, message: bytes, r_bytes: bytes) -> bytes:
-        hasher = self._params.chain_hash()
-        hasher.update(message)
+        hasher = self._params.chain_hash(message)
         hasher.update(r_bytes)
         return hasher.digest()
 
@@ -75,18 +75,17 @@ class ItemCodec:
 
     def encrypt_many(self, chain_outputs: list[bytes], messages: list[bytes],
                      item_ids: list[int], nonces: list[bytes]) -> list[bytes]:
-        """Batch encryption: one vectorised hash pass over all item tags.
+        """Batch encryption: one vectorised AES pass over all items.
 
         Identical output to per-item :meth:`encrypt`; used by outsourcing
-        and by the master-key baseline's O(n) re-encryption, where the
-        item hashes dominate the interpreter cost.
+        and by the master-key baseline's O(n) re-encryption.
         """
         if not (len(chain_outputs) == len(messages) == len(item_ids)
                 == len(nonces)):
             raise ValueError("batch arguments must have equal lengths")
         r_bytes = [struct.pack(">Q", item_id) for item_id in item_ids]
-        tags = self._hash_many([message + r
-                                for message, r in zip(messages, r_bytes)])
+        tags = [self._item_hash(message, r)
+                for message, r in zip(messages, r_bytes)]
         for nonce in nonces:
             if len(nonce) != _NONCE_SIZE:
                 raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
@@ -113,10 +112,9 @@ class ItemCodec:
                   payload[_COUNTER_SIZE:-self._digest_size],
                   payload[-self._digest_size:])
                  for payload in payloads]
-        expected = self._hash_many([message + r for r, message, _tag in parts])
         results = []
-        for (r, message, tag), computed in zip(parts, expected):
-            if computed != tag:
+        for r, message, tag in parts:
+            if not hmac.compare_digest(self._item_hash(message, r), tag):
                 raise IntegrityError("decrypt-verification failed: wrong key "
                                      "or tampered ciphertext")
             results.append((message, struct.unpack(">Q", r)[0]))
@@ -129,19 +127,6 @@ class ItemCodec:
             return aes_ctr_many(keys, nonces, payloads)
         return [aes_ctr(key, nonce, payload)
                 for key, nonce, payload in zip(keys, nonces, payloads)]
-
-    def _hash_many(self, inputs: list[bytes]) -> list[bytes]:
-        """Vectorised tag hashing where the chain hash supports it."""
-        from repro.crypto.sha1 import Sha1
-        if self._params.chain_hash is Sha1 and len(inputs) >= 16:
-            from repro.crypto.bulk_hash import sha1_many
-            return sha1_many(inputs)
-        digests = []
-        for data in inputs:
-            hasher = self._params.chain_hash()
-            hasher.update(data)
-            digests.append(hasher.digest())
-        return digests
 
     def decrypt(self, chain_output: bytes, ciphertext: bytes) -> tuple[bytes, int]:
         """Decrypt and verify; return ``(message, item_id)``.
@@ -157,7 +142,7 @@ class ItemCodec:
         r_bytes = payload[:_COUNTER_SIZE]
         message = payload[_COUNTER_SIZE:-self._digest_size]
         tag = payload[-self._digest_size:]
-        if self._item_hash(message, r_bytes) != tag:
+        if not hmac.compare_digest(self._item_hash(message, r_bytes), tag):
             raise IntegrityError("decrypt-verification failed: wrong key or "
                                  "tampered ciphertext")
         return message, struct.unpack(">Q", r_bytes)[0]

@@ -23,11 +23,10 @@ Two backends implement the same interface:
 from __future__ import annotations
 
 import abc
+import hashlib
 import struct
 
 from repro.crypto.rng import RandomSource
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
 
 
 class ModulatorStore(abc.ABC):
@@ -132,20 +131,17 @@ class LazySeededStore(ModulatorStore):
     def __init__(self, width: int, seed: bytes) -> None:
         super().__init__(width)
         if width <= 20:
-            self._hash_factory = Sha1
+            self._hash_factory = hashlib.sha1
         elif width <= 32:
-            self._hash_factory = Sha256
+            self._hash_factory = hashlib.sha256
         else:
             raise ValueError("lazy store supports widths up to 32 bytes")
         self._seed = bytes(seed)
         self._overlay: dict[tuple[bytes, int], bytes] = {}
 
     def _derive(self, kind: bytes, slot: int) -> bytes:
-        hasher = self._hash_factory()
-        hasher.update(self._seed)
-        hasher.update(kind)
-        hasher.update(struct.pack(">Q", slot))
-        return hasher.digest()[:self.width]
+        data = self._seed + kind + struct.pack(">Q", slot)
+        return self._hash_factory(data).digest()[:self.width]
 
     def get_link(self, slot: int) -> bytes:
         return self._overlay.get((self._LINK, slot)) or self._derive(self._LINK, slot)

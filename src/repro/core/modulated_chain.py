@@ -24,10 +24,10 @@ Table II stores exactly 16 bytes per file) can drive a 20-byte SHA-1 chain.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
-from repro.crypto.hmac import HashFactory
-from repro.crypto.sha1 import Sha1
+from repro.core.params import HashFactory
 
 
 _from_bytes = int.from_bytes
@@ -48,18 +48,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-_BULK_MIN_BATCH: int | None = None
-
-
-def _bulk_min_batch() -> int:
-    """Batch-size threshold of the vectorised SHA-1 engine (lazy import)."""
-    global _BULK_MIN_BATCH
-    if _BULK_MIN_BATCH is None:
-        from repro.crypto.bulk_hash import MIN_BATCH
-        _BULK_MIN_BATCH = MIN_BATCH
-    return _BULK_MIN_BATCH
-
-
 class ChainEngine:
     """Evaluates modulated hash chains and counts hash invocations.
 
@@ -69,24 +57,17 @@ class ChainEngine:
     measured time (both scale as ``O(log n)``).
     """
 
-    __slots__ = ("hash_factory", "digest_size", "hash_calls", "_sha1_lanes")
+    __slots__ = ("hash_factory", "digest_size", "hash_calls")
 
-    def __init__(self, hash_factory: HashFactory = Sha1) -> None:
+    def __init__(self, hash_factory: HashFactory = hashlib.sha1) -> None:
         self.hash_factory = hash_factory
         self.digest_size = hash_factory().digest_size
         self.hash_calls = 0
-        # Capability check, not a name check: any factory that *is* Sha1
-        # (including an alias bound to another name) or subclasses it
-        # produces FIPS 180-4 SHA-1 digests and can ride the numpy lanes.
-        self._sha1_lanes = (isinstance(hash_factory, type)
-                            and issubclass(hash_factory, Sha1))
 
     def h(self, data: bytes) -> bytes:
         """One application of the chain hash ``H``."""
         self.hash_calls += 1
-        hasher = self.hash_factory()
-        hasher.update(data)
-        return hasher.digest()
+        return self.hash_factory(data).digest()
 
     def pad_key(self, master_key: bytes) -> bytes:
         """Zero-pad a master key to the digest width (``F(K, empty) = K``)."""
@@ -102,22 +83,15 @@ class ChainEngine:
                   modulators: list[bytes]) -> list[bytes]:
         """Many independent chain steps at once.
 
-        Bit-identical to per-pair :meth:`step`; vectorised when the chain
-        hash is SHA-1 and the batch is large enough to amortise numpy
-        overhead.  Hash-call accounting is unchanged (one call per pair).
+        Bit-identical to per-pair :meth:`step`, with one hash call counted
+        per pair.
         """
         if len(values) != len(modulators):
             raise ValueError("one modulator per value required")
         self.hash_calls += len(values)
-        if self._sha1_lanes and len(values) >= _bulk_min_batch():
-            from repro.crypto.bulk_hash import sha1_many, xor_many
-            return sha1_many(xor_many(values, modulators))
-        results = []
-        for value, modulator in zip(values, modulators):
-            hasher = self.hash_factory()
-            hasher.update(xor_bytes(value, modulator))
-            results.append(hasher.digest())
-        return results
+        factory = self.hash_factory
+        return [factory(xor_bytes(value, modulator)).digest()
+                for value, modulator in zip(values, modulators)]
 
     def evaluate(self, master_key: bytes, modulators: Iterable[bytes]) -> bytes:
         """Evaluate ``F(K, M)`` over the full modulator list."""

@@ -9,10 +9,14 @@ modulator width) without touching any algorithm code.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from repro.crypto.hmac import HashFactory
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
+from typing import Callable
+
+#: A ``hashlib`` constructor such as :func:`hashlib.sha1`: called with
+#: optional initial data, it returns an object with ``digest_size``,
+#: ``update`` and ``digest``.
+HashFactory = Callable[..., "hashlib._Hash"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class Params:
             collision of 160-bit random values is a 2^-80 event).
     """
 
-    chain_hash: HashFactory = Sha1
+    chain_hash: HashFactory = hashlib.sha1
     master_key_size: int = 16
     data_key_size: int = 16
     enforce_unique_modulators: bool = True
@@ -57,7 +61,7 @@ class Params:
 
 
 #: The paper's instantiation: SHA-1 chains, 160-bit modulators, AES-128.
-PAPER_PARAMS = Params(chain_hash=Sha1)
+PAPER_PARAMS = Params(chain_hash=hashlib.sha1)
 
 #: Modern instantiation used by the hash-choice ablation.
-SHA256_PARAMS = Params(chain_hash=Sha256)
+SHA256_PARAMS = Params(chain_hash=hashlib.sha256)

@@ -1,59 +1,33 @@
-"""Cryptographic substrate built from primary specifications.
+"""Cryptographic substrate.
 
-This environment provides no third-party cryptography package, and the
-reproduction mandate is to build every substrate from scratch, so this
-subpackage implements the primitives the paper relies on:
+Hashing and HMAC come from the standard library (``hashlib``/``hmac``):
+the chain hash ``H`` is :func:`hashlib.sha1` (the paper's instantiation)
+or :func:`hashlib.sha256`, chosen through :class:`repro.core.params.Params`.
+The standard library has no AES, so the block cipher lives here:
 
-* :mod:`repro.crypto.sha1` -- SHA-1 (FIPS 180-4), the paper's hash function
-  for modulated hash chains (160-bit digests and modulators).
-* :mod:`repro.crypto.sha256` -- SHA-256, offered as a drop-in alternative
-  chain hash for the hash-choice ablation.
-* :mod:`repro.crypto.hmac` -- HMAC (RFC 2104 / FIPS 198-1).
-* :mod:`repro.crypto.hkdf` -- HKDF (RFC 5869) for key derivation.
-* :mod:`repro.crypto.prf` -- the PRF used by the master-key baseline.
+* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197).
+* :mod:`repro.crypto.modes` -- ECB and CTR modes of operation.
+* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR for bulk payloads.
+* :mod:`repro.crypto.prf` -- the HMAC PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.
-* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197).
-* :mod:`repro.crypto.modes` -- ECB/CBC/CTR modes of operation.
-* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR for bulk payloads.
 * :mod:`repro.crypto.rng` -- random source abstraction (system / seeded).
-* :mod:`repro.crypto.ct` -- constant-time comparison helpers.
 
-Every primitive is validated against official test vectors in
-``tests/crypto``.
+AES is validated against official test vectors in ``tests/crypto``.
 """
 
 from repro.crypto.aes import AES
-from repro.crypto.bulk_hash import sha1_many
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.gcm import aes_gcm_decrypt, aes_gcm_encrypt
-from repro.crypto.hkdf import hkdf
-from repro.crypto.hmac import Hmac, hmac_digest
-from repro.crypto.modes import aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr
-from repro.crypto.prf import prf, prf_many
+from repro.crypto.modes import aes_ctr
+from repro.crypto.prf import prf
 from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
-from repro.crypto.sha1 import Sha1, sha1
-from repro.crypto.sha256 import Sha256, sha256
 
 __all__ = [
     "AES",
     "DeterministicRandom",
-    "Hmac",
     "HmacDrbg",
     "RandomSource",
-    "Sha1",
-    "Sha256",
     "SystemRandom",
-    "aes_cbc_decrypt",
-    "aes_cbc_encrypt",
     "aes_ctr",
-    "aes_gcm_decrypt",
-    "aes_gcm_encrypt",
-    "hkdf",
-    "hmac_digest",
     "prf",
-    "prf_many",
-    "sha1",
-    "sha1_many",
-    "sha256",
 ]

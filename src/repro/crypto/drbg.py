@@ -9,8 +9,12 @@ whose deterministic implementation is this DRBG.
 
 from __future__ import annotations
 
-from repro.crypto.hmac import HashFactory, hmac_digest
-from repro.crypto.sha256 import Sha256
+import hashlib
+import hmac
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.params import HashFactory
 
 _RESEED_INTERVAL = 1 << 48
 
@@ -19,7 +23,7 @@ class HmacDrbg:
     """HMAC-DRBG instantiated over a configurable hash (default SHA-256)."""
 
     def __init__(self, seed: bytes, *, personalization: bytes = b"",
-                 hash_factory: HashFactory = Sha256) -> None:
+                 hash_factory: HashFactory = hashlib.sha256) -> None:
         if not seed:
             raise ValueError("HMAC-DRBG requires non-empty seed material")
         self._hash_factory = hash_factory
@@ -31,13 +35,13 @@ class HmacDrbg:
 
     def _update(self, provided_data: bytes) -> None:
         """SP 800-90A HMAC_DRBG_Update."""
-        self._key = hmac_digest(self._key, self._value + b"\x00" + provided_data,
+        self._key = hmac.digest(self._key, self._value + b"\x00" + provided_data,
                                 self._hash_factory)
-        self._value = hmac_digest(self._key, self._value, self._hash_factory)
+        self._value = hmac.digest(self._key, self._value, self._hash_factory)
         if provided_data:
-            self._key = hmac_digest(self._key, self._value + b"\x01" + provided_data,
+            self._key = hmac.digest(self._key, self._value + b"\x01" + provided_data,
                                     self._hash_factory)
-            self._value = hmac_digest(self._key, self._value, self._hash_factory)
+            self._value = hmac.digest(self._key, self._value, self._hash_factory)
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the generator state."""
@@ -54,7 +58,7 @@ class HmacDrbg:
             raise RuntimeError("HMAC-DRBG reseed required")
         output = bytearray()
         while len(output) < length:
-            self._value = hmac_digest(self._key, self._value, self._hash_factory)
+            self._value = hmac.digest(self._key, self._value, self._hash_factory)
             output.extend(self._value)
         self._update(b"")
         self._reseed_counter += 1

@@ -1,14 +1,13 @@
 """Block cipher modes of operation over the AES block transform.
 
 The item codec (:mod:`repro.core.ciphertext`) uses AES-CTR so ciphertext
-length equals plaintext length plus the nonce; CBC with PKCS#7 is provided
-for completeness and for the NIST SP 800-38A conformance tests.
+length equals plaintext length plus the nonce; ECB exists for the NIST
+SP 800-38A conformance tests.
 """
 
 from __future__ import annotations
 
 from repro.crypto.aes import AES
-from repro.crypto.padding import pad, unpad
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -30,45 +29,6 @@ def aes_ecb_decrypt(cipher: AES, ciphertext: bytes) -> bytes:
         raise ValueError("ECB requires block-aligned input")
     return b"".join(cipher.decrypt_block(ciphertext[i:i + 16])
                     for i in range(0, len(ciphertext), 16))
-
-
-def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes, *,
-                    padded: bool = True) -> bytes:
-    """CBC-encrypt ``plaintext`` under ``key`` with the given 16-byte IV."""
-    if len(iv) != 16:
-        raise ValueError("CBC IV must be 16 bytes")
-    cipher = AES(key)
-    if padded:
-        plaintext = pad(plaintext, 16)
-    elif len(plaintext) % 16:
-        raise ValueError("unpadded CBC requires block-aligned input")
-
-    blocks = []
-    previous = iv
-    for i in range(0, len(plaintext), 16):
-        block = cipher.encrypt_block(_xor_bytes(plaintext[i:i + 16], previous))
-        blocks.append(block)
-        previous = block
-    return b"".join(blocks)
-
-
-def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *,
-                    padded: bool = True) -> bytes:
-    """CBC-decrypt ``ciphertext`` under ``key`` with the given 16-byte IV."""
-    if len(iv) != 16:
-        raise ValueError("CBC IV must be 16 bytes")
-    if len(ciphertext) % 16:
-        raise ValueError("CBC ciphertext must be block-aligned")
-    cipher = AES(key)
-
-    blocks = []
-    previous = iv
-    for i in range(0, len(ciphertext), 16):
-        block = ciphertext[i:i + 16]
-        blocks.append(_xor_bytes(cipher.decrypt_block(block), previous))
-        previous = block
-    plaintext = b"".join(blocks)
-    return unpad(plaintext, 16) if padded else plaintext
 
 
 #: Payloads at or below this many blocks run the scalar block loop: the

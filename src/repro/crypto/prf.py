@@ -8,14 +8,17 @@ security reduces to HMAC.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import struct
+from typing import TYPE_CHECKING
 
-from repro.crypto.hmac import HashFactory, hmac_digest
-from repro.crypto.sha1 import Sha1
+if TYPE_CHECKING:
+    from repro.core.params import HashFactory
 
 
 def prf(key: bytes, index: int, *, length: int = 16,
-        hash_factory: HashFactory = Sha1) -> bytes:
+        hash_factory: HashFactory = hashlib.sha1) -> bytes:
     """Return ``length`` bytes of PRF(key, index).
 
     ``index`` identifies a data item (0-based).  For lengths beyond one
@@ -31,41 +34,7 @@ def prf(key: bytes, index: int, *, length: int = 16,
     block_index = 0
     while len(blocks) * digest_size < length:
         message = struct.pack(">QI", index, block_index)
-        blocks.append(hmac_digest(key, message, hash_factory))
+        blocks.append(hmac.digest(key, message, hash_factory))
         block_index += 1
     return b"".join(blocks)[:length]
 
-
-def prf_many(key: bytes, indices: list[int], *, length: int = 16,
-             hash_factory: HashFactory = Sha1) -> list[bytes]:
-    """Batch PRF evaluation, bit-identical to per-index :func:`prf`.
-
-    For the SHA-1 single-block case (length <= digest size) the HMAC
-    inner and outer hashes are each one vectorised pass; other
-    configurations fall back to the scalar path.  Used by the master-key
-    baseline, which derives every item key twice per deletion.
-    """
-    digest_size = hash_factory().digest_size
-    if (hash_factory is not Sha1 or length > digest_size
-            or len(indices) < 16):
-        return [prf(key, index, length=length, hash_factory=hash_factory)
-                for index in indices]
-    if any(index < 0 for index in indices):
-        raise ValueError("index must be non-negative")
-    if length <= 0:
-        raise ValueError("length must be positive")
-
-    from repro.crypto.bulk_hash import sha1_many
-    block_size = hash_factory().block_size
-    if len(key) > block_size:
-        hasher = hash_factory()
-        hasher.update(key)
-        key = hasher.digest()
-    key = key.ljust(block_size, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-
-    inner = sha1_many([ipad + struct.pack(">QI", index, 0)
-                       for index in indices])
-    outer = sha1_many([opad + digest for digest in inner])
-    return [digest[:length] for digest in outer]

@@ -244,17 +244,9 @@ REPLAY_CACHE_SIZE = REGISTRY.gauge(
     "Entries in the request-id idempotency reply cache")
 
 # ---------------------------------------------------------------------
-# Hot-path caches (client chain cache, server view/encode cache)
+# Hot-path cache (server view/encode cache)
 # ---------------------------------------------------------------------
 
-CLIENT_CACHE_HITS = REGISTRY.counter(
-    "repro_client_cache_hits_total",
-    "Client chain-cache hits (O(log n) derivation skipped), by operation",
-    ("op",))
-CLIENT_CACHE_MISSES = REGISTRY.counter(
-    "repro_client_cache_misses_total",
-    "Client chain-cache misses (full derivation performed), by operation",
-    ("op",))
 SERVER_VIEW_CACHE = REGISTRY.counter(
     "repro_server_view_cache_total",
     "Server view/encode cache lookups, by outcome (hit or miss)",

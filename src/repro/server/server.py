@@ -17,6 +17,7 @@ server is modelled separately in :mod:`repro.server.adversary`.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -605,19 +606,19 @@ class CloudServer:
                 registry[old] = registry.get(old, 0) + 1
 
     def _replay_digest(self, request: msg.Message) -> bytes:
-        from repro.crypto.sha1 import sha1
-        return sha1(msg.encode_message(self.ctx, request))
+        """Digest of an encoded commit, computed once per commit."""
+        return hashlib.sha1(msg.encode_message(self.ctx, request)).digest()
 
-    def _check_replay(self, state: ServerFile,
-                      request: msg.Message) -> Optional[msg.Ack]:
+    def _check_replay(self, state: ServerFile, request: msg.Message,
+                      digest: bytes) -> Optional[msg.Ack]:
         """Return the cached Ack if this exact commit was already applied."""
         if state.replay_cache is None:
             return None
-        digest, ack = state.replay_cache
+        applied, ack = state.replay_cache
         if obs.enabled:
             from repro.obs import instruments as ins
             ins.REPLAY_LOOKUPS.inc(cache="commit_digest")
-        if digest == self._replay_digest(request):
+        if applied == digest:
             if obs.enabled:
                 from repro.obs import instruments as ins
                 ins.REPLAY_HITS.inc(cache="commit_digest")
@@ -626,9 +627,10 @@ class CloudServer:
             return ack
         return None
 
-    def _remember_commit(self, state: ServerFile, request: msg.Message,
+    @staticmethod
+    def _remember_commit(state: ServerFile, digest: bytes,
                          ack: msg.Ack) -> None:
-        state.replay_cache = (self._replay_digest(request), ack)
+        state.replay_cache = (digest, ack)
 
     def _fresh_values_clash(self, state: ServerFile,
                             values: list[Optional[bytes]]) -> bool:
@@ -745,7 +747,8 @@ class CloudServer:
 
     def _on_delete_commit(self, request: msg.DeleteCommit) -> msg.Message:
         state = self._state(request.file_id)
-        replayed = self._check_replay(state, request)
+        digest = self._replay_digest(request)
+        replayed = self._check_replay(state, request, digest)
         if replayed is not None:
             return replayed
         if request.tree_version != state.version:
@@ -782,7 +785,7 @@ class CloudServer:
         state.ciphertexts.delete(request.item_id)
         state.version += 1
         ack = msg.Ack(tree_version=state.version)
-        self._remember_commit(state, request, ack)
+        self._remember_commit(state, digest, ack)
         return ack
 
     def _on_batch_delete_request(self,
@@ -868,7 +871,8 @@ class CloudServer:
     def _on_batch_delete_commit(self,
                                 request: msg.BatchDeleteCommit) -> msg.Message:
         state = self._state(request.file_id)
-        replayed = self._check_replay(state, request)
+        digest = self._replay_digest(request)
+        replayed = self._check_replay(state, request, digest)
         if replayed is not None:
             return replayed
         if request.tree_version != state.version:
@@ -917,7 +921,7 @@ class CloudServer:
             state.ciphertexts.delete(item_id)
         state.version += 1
         ack = msg.Ack(tree_version=state.version)
-        self._remember_commit(state, request, ack)
+        self._remember_commit(state, digest, ack)
         return ack
 
     def _on_insert_request(self, request: msg.InsertRequest) -> msg.Message:
@@ -931,7 +935,8 @@ class CloudServer:
 
     def _on_insert_commit(self, request: msg.InsertCommit) -> msg.Message:
         state = self._state(request.file_id)
-        replayed = self._check_replay(state, request)
+        digest = self._replay_digest(request)
+        replayed = self._check_replay(state, request, digest)
         if replayed is not None:
             return replayed
         if request.tree_version != state.version:
@@ -951,7 +956,7 @@ class CloudServer:
         state.ciphertexts.put(request.item_id, request.ciphertext)
         state.version += 1
         ack = msg.Ack(tree_version=state.version, item_id=request.item_id)
-        self._remember_commit(state, request, ack)
+        self._remember_commit(state, digest, ack)
         return ack
 
     def _on_fetch_file(self, request: msg.FetchFileRequest) -> msg.Message:

@@ -115,10 +115,10 @@ class StressConfig:
     readers: int = 1
     verify_theorem2: bool = True
     wal_dir: str | None = None
-    #: Randomly flip the client chain cache and the server view cache
-    #: mid-run.  The caches must be *correctness-invisible*: every
-    #: invariant below (including byte-exact reads against the model)
-    #: must hold across any on/off interleaving.
+    #: Randomly flip the server view cache mid-run.  The cache must be
+    #: *correctness-invisible*: every invariant below (including
+    #: byte-exact reads against the model) must hold across any on/off
+    #: interleaving.
     toggle_caches: bool = False
     #: Storage engine behind every shard.  Non-memory backends run a
     #: compactor thread that repeatedly flushes dirty state and
@@ -368,25 +368,9 @@ class _Tenant:
             self.error = exc
 
     def _toggle_caches(self) -> None:
-        """Randomly flip the hot-path caches (coherence under churn).
-
-        Flipping the raw client flag (without clearing) deliberately
-        leaves entries behind while mutations skip their cache upkeep:
-        re-enabling must still never serve a wrong answer, because stale
-        entries carry a retired ``(master_key, version)`` pair and every
-        lookup checks both.
-        """
-        client = self.fs.client
-        roll = self.ops.random()
-        if roll < 0.4:
-            client.cache_enabled = not client.cache_enabled
-        elif roll < 0.6:
-            client.disable_cache()
-            client.enable_cache()
-        else:
-            for unit in self.cluster.units:
-                unit.server.view_cache_enabled = \
-                    not unit.server.view_cache_enabled
+        """Flip every server's view cache (coherence under churn)."""
+        for unit in self.cluster.units:
+            unit.server.view_cache_enabled = not unit.server.view_cache_enabled
 
     def _step(self) -> None:
         if self.config.toggle_caches and self.ops.random() < 0.15:

@@ -125,3 +125,42 @@ def test_deleting_twice_fails_cleanly(pair):
     key = client.delete(1, key, ids[0])
     with pytest.raises(UnknownItemError):
         client.delete(1, key, ids[0])
+
+
+def test_wrong_key_fails_closed_then_right_key_reads(pair):
+    _server, client = pair
+    key = client.outsource(1, [b"a"])
+    ids = client.item_ids_of(1)
+    with pytest.raises(IntegrityError):
+        client.access(1, b"\x00" * 16, ids[0])
+    assert client.access(1, key, ids[0]) == b"a"
+
+
+def test_foreign_rotation_reads_under_new_key(pair):
+    """Another client's deletion rotates the key; the survivors read
+    under the new key and no longer under the old one."""
+    server, client = pair
+    key = client.outsource(1, [b"a", b"b", b"c"])
+    ids = client.item_ids_of(3)
+    assert client.access(1, key, ids[0]) == b"a"
+    other = AssuredDeletionClient(LoopbackChannel(server),
+                                  rng=DeterministicRandom("other"),
+                                  store_keys=False)
+    key2 = other.delete(1, key, ids[1])
+    assert client.access(1, key2, ids[0]) == b"a"
+    with pytest.raises(IntegrityError):
+        client.access(1, key, ids[0])
+
+
+def test_mutations_keep_survivors_readable(pair):
+    _server, client = pair
+    key = client.outsource(1, [b"a", b"b", b"c", b"d", b"e"])
+    ids = client.item_ids_of(5)
+    new_id = client.insert(1, key, b"fresh")
+    client.modify(1, key, ids[0], b"patched")
+    key = client.delete(1, key, ids[1])
+    key = client.delete_many(1, key, [ids[2], ids[4]])
+    assert client.access(1, key, new_id) == b"fresh"
+    assert client.access(1, key, ids[0]) == b"patched"
+    assert client.fetch_file(1, key) == {ids[0]: b"patched", ids[3]: b"d",
+                                         new_id: b"fresh"}

@@ -45,6 +45,23 @@ def test_tampering_rejected(codec, rng):
             codec.decrypt(key, bytes(tampered))
 
 
+def test_flipped_tag_byte_rejected_on_both_paths(codec, rng):
+    """One flipped bit in the encrypted tag fails the tag check, whether
+    the item is decrypted alone or in a batch."""
+    keys = [rng.bytes(20) for _ in range(3)]
+    ciphertexts = codec.encrypt_many(keys, [b"one", b"two", b"three"],
+                                     [1, 2, 3], [rng.bytes(8) for _ in keys])
+    tampered = bytearray(ciphertexts[1])
+    tampered[-1] ^= 0x01
+    with pytest.raises(IntegrityError, match="decrypt-verification"):
+        codec.decrypt(keys[1], bytes(tampered))
+    batch = [ciphertexts[0], bytes(tampered), ciphertexts[2]]
+    with pytest.raises(IntegrityError, match="decrypt-verification"):
+        codec.decrypt_many(keys, batch)
+    assert codec.decrypt_many(keys, ciphertexts) == [
+        (b"one", 1), (b"two", 2), (b"three", 3)]
+
+
 def test_item_id_is_bound_into_plaintext(codec, rng):
     """Swapping ciphertexts between items is detectable via r."""
     key = rng.bytes(20)

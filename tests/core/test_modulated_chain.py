@@ -1,11 +1,13 @@
 """The modulated hash chain: Eq. 1/2, Lemma 1, and the releaf identity."""
 
+import hashlib
+
 import pytest
 
 from repro.core.modulated_chain import (ChainEngine, releaf_modulator,
                                         rewrite_delta, rewrite_modulator,
                                         xor_bytes)
-from repro.crypto.sha256 import Sha256
+from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
 
 
 @pytest.fixture
@@ -108,20 +110,6 @@ def test_pad_key_rejects_oversized(engine):
         engine.pad_key(b"\x00" * 21)
 
 
-def _lane_calls(monkeypatch):
-    """Record calls to the vectorised SHA-1 backend."""
-    from repro.crypto import bulk_hash
-    calls = []
-    original = bulk_hash.sha1_many
-
-    def recording(blocks):
-        calls.append(len(blocks))
-        return original(blocks)
-
-    monkeypatch.setattr(bulk_hash, "sha1_many", recording)
-    return calls
-
-
 def test_step_many_matches_scalar_steps(engine, rng):
     values = [rng.bytes(20) for _ in range(40)]
     modulators = mods(rng, 40)
@@ -129,42 +117,43 @@ def test_step_many_matches_scalar_steps(engine, rng):
     assert engine.step_many(values, modulators) == expected
 
 
-def test_step_many_vectorizes_sha1_subclass(monkeypatch, rng):
-    """The dispatch is a capability check, not a name check: a subclass
-    (or an alias bound to a different name) of Sha1 still rides the numpy
-    lanes."""
-    from repro.core.modulated_chain import ChainEngine as CE
-    from repro.crypto.sha1 import Sha1
-
-    class TunedSha1(Sha1):
-        pass
-
-    calls = _lane_calls(monkeypatch)
-    subclassed = CE(TunedSha1)
-    aliased_factory = Sha1  # an alias whose __name__ is still "Sha1"
-    aliased = CE(aliased_factory)
-    values = [rng.bytes(20) for _ in range(32)]
-    modulators = mods(rng, 32)
-    expected = CE().step_many(list(values), list(modulators))
-    assert subclassed.step_many(values, modulators) == expected
-    assert aliased.step_many(values, modulators) == expected
-    assert len(calls) >= 2  # both engines vectorised
+def test_step_many_counts_one_hash_per_pair(engine, rng):
+    before = engine.hash_calls
+    engine.step_many([rng.bytes(20) for _ in range(5)], mods(rng, 5))
+    assert engine.hash_calls - before == 5
+    with pytest.raises(ValueError):
+        engine.step_many([rng.bytes(20)], [])
 
 
-def test_step_many_scalar_fallbacks(monkeypatch, rng):
-    """Non-SHA-1 factories and small batches stay on the scalar path."""
-    calls = _lane_calls(monkeypatch)
-    from repro.core.modulated_chain import ChainEngine as CE
-    sha256 = CE(Sha256)
+def test_step_many_scalar_fallbacks(rng):
+    """SHA-256 factories and small batches match per-pair steps."""
+    sha256 = ChainEngine(hashlib.sha256)
     values = [rng.bytes(32) for _ in range(32)]
-    sha256.step_many(values, [rng.bytes(32) for _ in range(32)])
-    small = CE()
-    small.step_many([rng.bytes(20)] * 2, [rng.bytes(20)] * 2)
-    assert calls == []
+    modulators = mods(rng, 32, width=32)
+    assert sha256.step_many(values, modulators) == \
+        [sha256.step(v, x) for v, x in zip(values, modulators)]
+    small = ChainEngine()
+    values, modulators = [rng.bytes(20)] * 2, mods(rng, 2)
+    assert small.step_many(values, modulators) == \
+        [small.step(v, x) for v, x in zip(values, modulators)]
+
+
+def test_chain_hash_is_fips_sha1():
+    """FIPS 180-4 "abc" vector through the paper's chain hash ``H``."""
+    engine = ChainEngine(PAPER_PARAMS.chain_hash)
+    assert engine.h(b"abc").hex() == \
+        "a9993e364706816aba3e25717850c26c9cd0d89d"
+
+
+def test_chain_hash_is_fips_sha256():
+    """FIPS 180-4 "abc" vector through the SHA-256 chain hash ``H``."""
+    engine = ChainEngine(SHA256_PARAMS.chain_hash)
+    assert engine.h(b"abc").hex() == \
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 def test_sha256_engine(rng):
-    engine = ChainEngine(Sha256)
+    engine = ChainEngine(hashlib.sha256)
     assert engine.digest_size == 32
     modulators = mods(rng, 3, width=32)
     old_key, new_key = rng.bytes(16), rng.bytes(16)

@@ -1,14 +1,14 @@
 """Scheme parameter validation."""
 
+import hashlib
+
 import pytest
 
 from repro.core.params import PAPER_PARAMS, SHA256_PARAMS, Params
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
 
 
 def test_paper_defaults():
-    assert PAPER_PARAMS.chain_hash is Sha1
+    assert PAPER_PARAMS.chain_hash is hashlib.sha1
     assert PAPER_PARAMS.modulator_size == 20
     assert PAPER_PARAMS.master_key_size == 16
     assert PAPER_PARAMS.data_key_size == 16
@@ -16,7 +16,7 @@ def test_paper_defaults():
 
 
 def test_sha256_variant():
-    assert SHA256_PARAMS.chain_hash is Sha256
+    assert SHA256_PARAMS.chain_hash is hashlib.sha256
     assert SHA256_PARAMS.modulator_size == 32
 
 
@@ -33,7 +33,7 @@ def test_data_key_must_be_aes_size():
         Params(data_key_size=17)
     with pytest.raises(ValueError):
         Params(data_key_size=24)  # 24 > SHA-1 digest? no: 24 > 20 -> invalid
-    assert Params(chain_hash=Sha256, data_key_size=32).data_key_size == 32
+    assert Params(chain_hash=hashlib.sha256, data_key_size=32).data_key_size == 32
 
 
 def test_frozen():

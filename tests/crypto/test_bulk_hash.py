@@ -1,11 +1,21 @@
-"""Vectorised SHA-1 batching against hashlib and the scalar path."""
+"""Batched hashing paths against hashlib and their scalar counterparts.
+
+:meth:`ChainEngine.step_many` hashes ``value xor modulator`` per pair; with
+all-zero modulators it hashes the values themselves, which lets the batch
+path be checked against ``hashlib`` at any message length.
+"""
 
 import hashlib
 
 import pytest
 
-from repro.crypto.bulk_hash import MIN_BATCH, sha1_many, xor_many
-from repro.crypto.prf import prf, prf_many
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import PAPER_PARAMS
+
+
+def sha1_many(messages):
+    engine = ChainEngine(PAPER_PARAMS.chain_hash)
+    return engine.step_many(list(messages), [bytes(len(m)) for m in messages])
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100, 1000])
@@ -29,41 +39,7 @@ def test_mixed_lengths(rng):
     assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
 
 
-def test_small_batches_use_scalar_path(rng):
-    messages = [rng.bytes(32) for _ in range(MIN_BATCH - 1)]
-    assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
-
-
-def test_xor_many(rng):
-    a = [rng.bytes(20) for _ in range(50)]
-    b = [rng.bytes(20) for _ in range(50)]
-    expected = [bytes(x ^ y for x, y in zip(p, q)) for p, q in zip(a, b)]
-    assert xor_many(a, b) == expected
-    assert xor_many([], []) == []
-    with pytest.raises(ValueError):
-        xor_many(a, b[:-1])
-    with pytest.raises(ValueError):
-        xor_many([b"\x00" * 20], [b"\x00" * 19])
-
-
-def test_prf_many_matches_scalar():
-    key = b"k" * 16
-    indices = list(range(100))
-    batched = prf_many(key, indices, length=20)
-    assert batched == [prf(key, i, length=20) for i in indices]
-
-
-def test_prf_many_long_key_and_small_batches():
-    key = b"K" * 100  # longer than the block size: pre-hashed
-    indices = [5, 6, 7]
-    assert prf_many(key, indices) == [prf(key, i) for i in indices]
-    indices = list(range(40))
-    assert prf_many(key, indices, length=16) == \
-        [prf(key, i, length=16) for i in indices]
-
-
 def test_step_many_matches_step(rng):
-    from repro.core.modulated_chain import ChainEngine
     engine = ChainEngine()
     values = [rng.bytes(20) for _ in range(64)]
     modulators = [rng.bytes(20) for _ in range(64)]

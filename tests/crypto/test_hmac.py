@@ -1,13 +1,26 @@
-"""HMAC against RFC 2202 (SHA-1) and RFC 4231 (SHA-256) vectors."""
+"""HMAC over the chain-hash factories against RFC 2202 and RFC 4231 vectors.
+
+:func:`repro.crypto.prf.prf` and :class:`repro.crypto.drbg.HmacDrbg` call
+``hmac.digest`` with a :data:`repro.core.params.HashFactory`; these cases
+pin that construction for both parameter sets.
+"""
 
 import hashlib
 import hmac as stdlib_hmac
+import struct
 
 import pytest
 
-from repro.crypto.hmac import Hmac, hmac_digest
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
+from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
+from repro.crypto.prf import prf
+
+Sha1 = PAPER_PARAMS.chain_hash
+Sha256 = SHA256_PARAMS.chain_hash
+
+
+def hmac_digest(key, message, hash_factory):
+    return stdlib_hmac.digest(key, message, hash_factory)
+
 
 # RFC 2202 HMAC-SHA1 vectors.
 RFC2202 = [
@@ -46,29 +59,30 @@ def test_rfc4231_sha256(key, message, expected):
 
 @pytest.mark.parametrize("key_length", [0, 1, 63, 64, 65, 200])
 def test_matches_stdlib_across_key_lengths(key_length):
+    """The PRF is HMAC(key, index || block) for keys of any length."""
     key = bytes(range(256))[:key_length]
-    message = b"key length boundary check"
-    assert hmac_digest(key, message, Sha1) == \
+    message = struct.pack(">QI", 9, 0)
+    assert prf(key, 9, length=20) == \
         stdlib_hmac.new(key, message, hashlib.sha1).digest()
-    assert hmac_digest(key, message, Sha256) == \
+    assert prf(key, 9, length=32, hash_factory=Sha256) == \
         stdlib_hmac.new(key, message, hashlib.sha256).digest()
 
 
 def test_incremental_updates():
-    mac = Hmac(b"key", Sha1)
+    mac = stdlib_hmac.new(b"key", digestmod=Sha1)
     mac.update(b"part one ")
     mac.update(b"part two")
     assert mac.digest() == hmac_digest(b"key", b"part one part two", Sha1)
 
 
 def test_digest_is_idempotent():
-    mac = Hmac(b"key", Sha256)
+    mac = stdlib_hmac.new(b"key", digestmod=Sha256)
     mac.update(b"data")
     assert mac.digest() == mac.digest()
 
 
 def test_copy_is_independent():
-    mac = Hmac(b"key", Sha1)
+    mac = stdlib_hmac.new(b"key", digestmod=Sha1)
     mac.update(b"abc")
     clone = mac.copy()
     mac.update(b"X")
@@ -77,5 +91,5 @@ def test_copy_is_independent():
 
 
 def test_digest_size_attribute():
-    assert Hmac(b"k", Sha1).digest_size == 20
-    assert Hmac(b"k", Sha256).digest_size == 32
+    assert stdlib_hmac.new(b"k", digestmod=Sha1).digest_size == 20
+    assert stdlib_hmac.new(b"k", digestmod=Sha256).digest_size == 32

@@ -1,10 +1,23 @@
-"""SHA-1 against FIPS 180 vectors, hashlib, and its incremental API."""
+"""The paper's chain hash ``H`` (SHA-1) against FIPS 180 vectors and hashlib.
+
+``PAPER_PARAMS.chain_hash`` is the factory every chain step, item tag and
+PRF block goes through; these cases pin that it is FIPS SHA-1 and that its
+incremental API behaves as :class:`repro.core.ciphertext.ItemCodec` uses it.
+"""
 
 import hashlib
 
 import pytest
 
-from repro.crypto.sha1 import Sha1, sha1
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import PAPER_PARAMS
+
+Sha1 = PAPER_PARAMS.chain_hash
+
+
+def sha1(message):
+    return ChainEngine(Sha1).h(message)
+
 
 # FIPS 180 / RFC 3174 test vectors.
 VECTORS = [
@@ -69,7 +82,8 @@ def test_update_rejects_text():
 
 
 def test_constants():
-    assert Sha1.digest_size == 20
-    assert Sha1.block_size == 64
-    assert Sha1.name == "sha1"
+    assert Sha1().digest_size == 20
+    assert Sha1().block_size == 64
+    assert Sha1().name == "sha1"
+    assert PAPER_PARAMS.modulator_size == 20
     assert len(sha1(b"x")) == 20

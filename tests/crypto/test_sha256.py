@@ -1,10 +1,23 @@
-"""SHA-256 against FIPS 180 vectors, hashlib, and its incremental API."""
+"""The SHA-256 chain hash ``H`` against FIPS 180 vectors and hashlib.
+
+``SHA256_PARAMS.chain_hash`` drives the hash-choice ablation; these cases
+pin that it is FIPS SHA-256 and that its incremental API behaves as
+:class:`repro.core.ciphertext.ItemCodec` uses it.
+"""
 
 import hashlib
 
 import pytest
 
-from repro.crypto.sha256 import Sha256, sha256
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import SHA256_PARAMS
+
+Sha256 = SHA256_PARAMS.chain_hash
+
+
+def sha256(message):
+    return ChainEngine(Sha256).h(message)
+
 
 VECTORS = [
     (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -50,6 +63,7 @@ def test_update_rejects_text():
 
 
 def test_constants():
-    assert Sha256.digest_size == 32
-    assert Sha256.block_size == 64
+    assert Sha256().digest_size == 32
+    assert Sha256().block_size == 64
+    assert SHA256_PARAMS.modulator_size == 32
     assert len(sha256(b"x")) == 32
