@@ -1,7 +1,9 @@
 """Hot-path benchmark: scalar reference stack against the optimised one.
 
-Compares the reference configuration (scalar per-item AES, no server
-view cache) against the optimised stack on the two headline operations:
+Compares the reference configuration (per-item pure-Python AES through
+``aes_ctr_scalar``, no server view cache) against the shipped stack
+(``cryptography`` AES and the numpy cross-item sweep, view cache on) on
+the two headline operations:
 
 * whole-file fetch at n = 1024 -- ``decrypt_many`` runs one bulk AES
   pass over all items after the 3n-2 chain sweep;
@@ -13,11 +15,15 @@ speedup is meaningless.
 """
 
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import save_json, save_result
 from repro.client.client import AssuredDeletionClient
+from repro.core import ciphertext
+from repro.crypto.modes import aes_ctr_scalar
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
 from repro.server.server import CloudServer
@@ -33,13 +39,33 @@ def make_items(n=N_ITEMS, size=ITEM_SIZE):
     return [rng.bytes(size) for _ in range(n)]
 
 
+def _scalar_many(keys, nonces, datas):
+    return [aes_ctr_scalar(key, nonce, data)
+            for key, nonce, data in zip(keys, nonces, datas)]
+
+
+@contextmanager
+def aes_engines(optimised):
+    """Inside the block, the item codec runs on the shipped AES engines
+    (``optimised``) or on the pure-Python reference, one item at a time."""
+    if optimised:
+        yield
+        return
+    with mock.patch.object(ciphertext, "aes_ctr", aes_ctr_scalar), \
+            mock.patch.object(ciphertext, "aes_ctr_many", _scalar_many):
+        yield
+
+
 def build(optimised, items, seed="hotpath"):
-    """A (server, client, key) triple in one of the two configurations."""
+    """A (server, client, key) triple in one of the two configurations.
+
+    The AES half of the configuration is :func:`aes_engines`, which the
+    caller must hold around this call and every use of the client.
+    """
     server = CloudServer()
     client = AssuredDeletionClient(LoopbackChannel(server),
                                    rng=DeterministicRandom(seed))
     if not optimised:
-        client.codec.use_bulk_aes = False
         server.view_cache_enabled = False
     key = client.outsource(1, items)
     return server, client, key
@@ -61,29 +87,30 @@ def hotpath():
     plaintexts = {}
     for label in ("baseline", "optimised"):
         optimised = label == "optimised"
-        _server, client, key = build(optimised, items)
-        ids = client.item_ids_of(len(items))
+        with aes_engines(optimised):
+            _server, client, key = build(optimised, items)
+            ids = client.item_ids_of(len(items))
 
-        hashes0 = client.engine.hash_calls
-        fetch_seconds = best_of(lambda: client.fetch_file(1, key))
-        fetch_hashes = (client.engine.hash_calls - hashes0) // ROUNDS
+            hashes0 = client.engine.hash_calls
+            fetch_seconds = best_of(lambda: client.fetch_file(1, key))
+            fetch_hashes = (client.engine.hash_calls - hashes0) // ROUNDS
 
-        hashes0 = client.engine.hash_calls
+            hashes0 = client.engine.hash_calls
 
-        def access_sweep():
-            for item_id in ids[:ACCESS_ITEMS]:
-                client.access(1, key, item_id)
+            def access_sweep():
+                for item_id in ids[:ACCESS_ITEMS]:
+                    client.access(1, key, item_id)
 
-        access_seconds = best_of(access_sweep)
-        access_hashes = (client.engine.hash_calls - hashes0) // ROUNDS
+            access_seconds = best_of(access_sweep)
+            access_hashes = (client.engine.hash_calls - hashes0) // ROUNDS
 
-        plaintexts[label] = client.fetch_file(1, key)
-        rows[label] = {
-            "fetch_seconds": fetch_seconds,
-            "fetch_hash_calls": fetch_hashes,
-            "access_seconds": access_seconds,
-            "access_hash_calls": access_hashes,
-        }
+            plaintexts[label] = client.fetch_file(1, key)
+            rows[label] = {
+                "fetch_seconds": fetch_seconds,
+                "fetch_hash_calls": fetch_hashes,
+                "access_seconds": access_seconds,
+                "access_hash_calls": access_hashes,
+            }
 
     fetch_speedup = (rows["baseline"]["fetch_seconds"]
                      / max(rows["optimised"]["fetch_seconds"], 1e-9))
@@ -135,7 +162,8 @@ def test_configurations_are_bit_identical(hotpath):
     # Same randomness + same items => the stored ciphertexts must also
     # be byte-identical between the scalar and bulk AES encrypt paths.
     items = make_items(64, 128)
-    base_server, base_client, _ = build(False, items, seed="identity")
+    with aes_engines(False):
+        base_server, base_client, _ = build(False, items, seed="identity")
     opt_server, opt_client, _ = build(True, items, seed="identity")
     ids = base_client.item_ids_of(len(items))
     for item_id in ids:
@@ -154,10 +182,11 @@ def test_cache_savings_are_structural(hotpath):
 def test_quick_hotpath_smoke():
     """CI smoke: small scale; the optimised stack must beat baseline."""
     items = make_items(128, 64)
-    _s, base_client, base_key = build(False, items, seed="quick")
+    with aes_engines(False):
+        _s, base_client, base_key = build(False, items, seed="quick")
+        base = best_of(lambda: base_client.fetch_file(1, base_key), rounds=2)
+        base_plaintexts = base_client.fetch_file(1, base_key)
     _s, opt_client, opt_key = build(True, items, seed="quick")
-    base = best_of(lambda: base_client.fetch_file(1, base_key), rounds=2)
     opt = best_of(lambda: opt_client.fetch_file(1, opt_key), rounds=2)
-    assert opt_client.fetch_file(1, opt_key) == \
-        base_client.fetch_file(1, base_key)
+    assert opt_client.fetch_file(1, opt_key) == base_plaintexts
     assert opt < base, (base, opt)

@@ -2,7 +2,9 @@
 
 These are the constants behind every figure: the chain-hash step, the AES
 block, bulk CTR throughput, chain evaluation at the paper's depths, and
-the item codec at the paper's 4 KB item size.
+the item codec at the paper's 4 KB item size -- and the measured
+crossover between the two AES-CTR engines that ``repro.crypto.modes``
+dispatches on.
 """
 
 import hashlib
@@ -15,8 +17,8 @@ from repro.core.ciphertext import ItemCodec
 from repro.core.modulated_chain import ChainEngine, xor_bytes
 from repro.core.params import Params
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform
-from repro.crypto.modes import aes_ctr
+from repro.crypto.bulk import ctr_transform_many
+from repro.crypto.modes import BULK_MAX_BLOCKS, BULK_MIN_ITEMS, aes_ctr
 from repro.crypto.rng import DeterministicRandom
 
 rng = DeterministicRandom("micro")
@@ -51,14 +53,14 @@ def test_aes_block(benchmark):
 def test_bulk_ctr_4kb(benchmark):
     key, nonce = rng.bytes(16), rng.bytes(8)
     data = rng.bytes(4096)
-    benchmark(lambda: ctr_transform(key, nonce, data))
+    benchmark(lambda: ctr_transform_many([key], [nonce], [data]))
 
 
 @pytest.mark.benchmark(group="micro-aes")
 def test_bulk_ctr_1mb(benchmark):
     key, nonce = rng.bytes(16), rng.bytes(8)
     data = rng.bytes(1 << 20)
-    benchmark(lambda: ctr_transform(key, nonce, data))
+    benchmark(lambda: ctr_transform_many([key], [nonce], [data]))
 
 
 @pytest.mark.parametrize("depth", [7, 17, 24],
@@ -142,6 +144,80 @@ def test_micro_timing_record():
             "ctr_small_92b": _per_call_us(
                 lambda: aes_ctr(key, nonce, small_payload)),
             "ctr_bulk_4kb": _per_call_us(
-                lambda: ctr_transform(key, nonce, item), reps=200),
+                lambda: ctr_transform_many([key], [nonce], [item]), reps=200),
+            "ctr_native_4kb": _per_call_us(
+                lambda: aes_ctr(key, nonce, item), reps=200),
         },
     })
+
+
+#: Items per batch when sweeping payload size, and payload blocks when
+#: sweeping batch size (92-byte payloads: a 64-byte record plus codec
+#: overhead, the ``point-large`` item).
+CROSSOVER_BATCH = 1024
+CROSSOVER_ITEM_BLOCKS = 6
+
+
+def _us_per_item(count, blocks):
+    """Best-of-5 microseconds per item: (numpy sweep, per-item native)."""
+    keys = [rng.bytes(16) for _ in range(count)]
+    nonces = [rng.bytes(8) for _ in range(count)]
+    datas = [rng.bytes(16 * blocks - 4) for _ in range(count)]
+
+    def native():
+        return [aes_ctr(k, n, d) for k, n, d in zip(keys, nonces, datas)]
+
+    def sweep():
+        return ctr_transform_many(keys, nonces, datas)
+
+    timings = []
+    for fn in (sweep, native):
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        timings.append(best / count * 1e6)
+    return timings
+
+
+def test_aes_ctr_crossover_timing_record():
+    """Justify ``BULK_MAX_BLOCKS`` and ``BULK_MIN_ITEMS`` by measurement.
+
+    Times the numpy cross-item sweep against one ``cryptography`` call
+    per item at 2-64 blocks per item (batch of ``CROSSOVER_BATCH``), and
+    at 16-1024 items of ``CROSSOVER_ITEM_BLOCKS`` blocks, and records
+    where each pair of curves crosses next to the constants in use.
+    """
+    by_blocks = {blocks: _us_per_item(CROSSOVER_BATCH, blocks)
+                 for blocks in (2, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64)}
+    by_items = {count: _us_per_item(count, CROSSOVER_ITEM_BLOCKS)
+                for count in (16, 32, 64, 128, 256, 512, 1024)}
+    # First point from which the engine favoured at the small end loses.
+    crossover_blocks = next((b for b, (sweep, native) in by_blocks.items()
+                             if native <= sweep), None)
+    crossover_items = next((c for c, (sweep, native) in by_items.items()
+                            if sweep <= native), None)
+    save_json("aes_ctr_crossover", {
+        "op": "aes_ctr_crossover",
+        "unit": "us_per_item",
+        "by_blocks": {"items": CROSSOVER_BATCH,
+                      "rows": [{"blocks": b, "numpy": sweep, "native": native}
+                               for b, (sweep, native) in by_blocks.items()],
+                      "measured_crossover": crossover_blocks,
+                      "BULK_MAX_BLOCKS": BULK_MAX_BLOCKS},
+        "by_items": {"blocks": CROSSOVER_ITEM_BLOCKS,
+                     "rows": [{"items": c, "numpy": sweep, "native": native}
+                              for c, (sweep, native) in by_items.items()],
+                     "measured_crossover": crossover_items,
+                     "BULK_MIN_ITEMS": BULK_MIN_ITEMS},
+    })
+    # Well inside each regime the dispatch must pick the faster engine.
+    sweep, native = by_blocks[2]
+    assert sweep < native, by_blocks
+    sweep, native = by_blocks[64]
+    assert native < sweep, by_blocks
+    sweep, native = by_items[16]
+    assert native < sweep, by_items
+    sweep, native = by_items[1024]
+    assert sweep < native, by_items

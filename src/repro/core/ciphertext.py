@@ -35,12 +35,6 @@ _COUNTER_SIZE = 8
 class ItemCodec:
     """Encrypts and decrypt-verifies data items under modulated keys."""
 
-    #: Route batch calls through the cross-item vectorised AES engine
-    #: (one sweep over every item's blocks).  Output is bit-identical to
-    #: the per-item path; flip off to benchmark or to force the scalar
-    #: reference behaviour.
-    use_bulk_aes = True
-
     def __init__(self, params: Params) -> None:
         self._params = params
         self._digest_size = params.chain_hash().digest_size
@@ -75,7 +69,7 @@ class ItemCodec:
 
     def encrypt_many(self, chain_outputs: list[bytes], messages: list[bytes],
                      item_ids: list[int], nonces: list[bytes]) -> list[bytes]:
-        """Batch encryption: one vectorised AES pass over all items.
+        """Batch encryption through :func:`aes_ctr_many`.
 
         Identical output to per-item :meth:`encrypt`; used by outsourcing
         and by the master-key baseline's O(n) re-encryption.
@@ -91,8 +85,8 @@ class ItemCodec:
                 raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
         payloads = [r + message + tag
                     for r, message, tag in zip(r_bytes, messages, tags)]
-        bodies = self._ctr_many([self.data_key(co) for co in chain_outputs],
-                                list(nonces), payloads)
+        bodies = aes_ctr_many([self.data_key(co) for co in chain_outputs],
+                              list(nonces), payloads)
         return [nonce + body for nonce, body in zip(nonces, bodies)]
 
     def decrypt_many(self, chain_outputs: list[bytes],
@@ -104,7 +98,7 @@ class ItemCodec:
         for ciphertext in ciphertexts:
             if len(ciphertext) < minimum:
                 raise IntegrityError("ciphertext too short to be well-formed")
-        payloads = self._ctr_many(
+        payloads = aes_ctr_many(
             [self.data_key(co) for co in chain_outputs],
             [ct[:_NONCE_SIZE] for ct in ciphertexts],
             [ct[_NONCE_SIZE:] for ct in ciphertexts])
@@ -119,14 +113,6 @@ class ItemCodec:
                                      "or tampered ciphertext")
             results.append((message, struct.unpack(">Q", r)[0]))
         return results
-
-    def _ctr_many(self, keys: list[bytes], nonces: list[bytes],
-                  payloads: list[bytes]) -> list[bytes]:
-        """Batch CTR transform, vectorised across items when enabled."""
-        if self.use_bulk_aes:
-            return aes_ctr_many(keys, nonces, payloads)
-        return [aes_ctr(key, nonce, payload)
-                for key, nonce, payload in zip(keys, nonces, payloads)]
 
     def decrypt(self, chain_output: bytes, ciphertext: bytes) -> tuple[bytes, int]:
         """Decrypt and verify; return ``(message, item_id)``.

@@ -3,11 +3,16 @@
 Hashing and HMAC come from the standard library (``hashlib``/``hmac``):
 the chain hash ``H`` is :func:`hashlib.sha1` (the paper's instantiation)
 or :func:`hashlib.sha256`, chosen through :class:`repro.core.params.Params`.
-The standard library has no AES, so the block cipher lives here:
+AES comes from ``cryptography`` (AES-NI where the CPU has it), except for
+batches of many small items, which a numpy sweep encrypts faster:
 
-* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197).
-* :mod:`repro.crypto.modes` -- ECB and CTR modes of operation.
-* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR for bulk payloads.
+* :mod:`repro.crypto.modes` -- AES-CTR and its engine dispatch: single
+  payloads and large items run on ``cryptography``, batches of many small
+  items on :mod:`repro.crypto.bulk`; plus ECB and the pure-Python CTR
+  reference.
+* :mod:`repro.crypto.bulk` -- numpy cross-item AES-CTR sweep.
+* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197), the exact
+  reference both engines are tested against.
 * :mod:`repro.crypto.prf` -- the HMAC PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.

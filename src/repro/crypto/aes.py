@@ -1,10 +1,11 @@
 """AES block cipher (FIPS 197) implemented from the specification.
 
 The paper encrypts each 4 KB data item with AES under a 128-bit key taken
-from the key modulation function's output.  This module provides the raw
-block transform for AES-128/192/256; modes of operation live in
-:mod:`repro.crypto.modes` and the numpy-vectorised bulk engine in
-:mod:`repro.crypto.bulk`.
+from the key modulation function's output.  This module is the exact
+FIPS 197 block transform for AES-128/192/256 that the tests hold the fast
+engines to: payloads are encrypted by ``cryptography`` or by the numpy
+cross-item sweep in :mod:`repro.crypto.bulk`, chosen in
+:mod:`repro.crypto.modes`.
 
 The S-box and its inverse are *derived*, not transcribed: each entry is the
 multiplicative inverse in GF(2^8) (modulo the Rijndael polynomial

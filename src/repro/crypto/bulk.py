@@ -1,11 +1,14 @@
-"""Vectorised AES-CTR engine for bulk payloads (numpy).
+"""Cross-item AES-CTR for batches of many small items (numpy).
 
-The master-key baseline of the paper re-encrypts the *entire* outsourced
-file on every deletion -- hundreds of megabytes at the paper's scale.  The
-scalar interpreter-speed AES in :mod:`repro.crypto.aes` is exact but far too
-slow for that, so this module evaluates the identical T-table round function
-across all counter blocks at once with numpy gathers.  Output is verified
-bit-for-bit against the scalar implementation in the test suite.
+Outsourcing and whole-file fetch encrypt thousands of items of a few
+blocks each, every one under its own key.  One ``cryptography`` call per
+item costs a fixed 11-19 us, most of it cipher-context set-up; this module
+instead evaluates the T-table round function of :mod:`repro.crypto.aes`
+across every item's counter blocks at once with numpy gathers, which is
+cheaper per item while items stay small and batches large.
+:func:`repro.crypto.modes.aes_ctr_many` decides which engine runs.
+Output is verified bit-for-bit against the scalar implementation in the
+test suite.
 
 Only CTR (keystream generation, i.e. the forward transform) is needed in
 bulk: both encryption and decryption of payloads XOR the same keystream.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import aes as _aes
-from repro.crypto.aes import AES
 
 _T0 = np.array(_aes.T0, dtype=np.uint32)
 _T1 = np.array(_aes.T1, dtype=np.uint32)
@@ -27,19 +29,14 @@ _SBOX = np.array(list(_aes.SBOX), dtype=np.uint32)
 _BYTE = np.uint32(0xFF)
 
 
-def _encrypt_words(round_keys, rounds: int,
+def _encrypt_words(rk, rounds: int,
                    s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
                    s3: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run the AES forward transform on N parallel states (uint32 words).
 
-    ``round_keys`` entries are either plain ints (one shared key schedule
-    for every state) or uint32 arrays aligned with the states (cross-item
-    batches where each block carries its own item's schedule); numpy
-    broadcasting makes both shapes take the identical code path.
+    ``rk`` holds one uint32 array per round-key word, aligned with the
+    states: each block carries its own item's schedule.
     """
-    rk = [word if isinstance(word, np.ndarray) else np.uint32(word)
-          for word in round_keys]
-
     s0 = s0 ^ rk[0]
     s1 = s1 ^ rk[1]
     s2 = s2 ^ rk[2]
@@ -68,57 +65,6 @@ def _encrypt_words(round_keys, rounds: int,
             | (_SBOX[(s1 >> 8) & _BYTE] << 8) | _SBOX[s2 & _BYTE]) ^ rk[offset + 3]
     return out0, out1, out2, out3
 
-
-def keystream(key: bytes, nonce: bytes, block_count: int, *,
-              initial_counter: int = 0) -> bytes:
-    """Return ``block_count`` * 16 bytes of AES-CTR keystream.
-
-    Counter blocks are ``nonce (8 bytes) || counter (8 bytes, big endian)``,
-    counters running from ``initial_counter`` upward.
-    """
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    if block_count < 0:
-        raise ValueError("block count must be non-negative")
-    if block_count == 0:
-        return b""
-
-    cipher = AES(key)
-    counters = np.arange(initial_counter, initial_counter + block_count,
-                         dtype=np.uint64)
-
-    nonce_hi = int.from_bytes(nonce[0:4], "big")
-    nonce_lo = int.from_bytes(nonce[4:8], "big")
-    s0 = np.full(block_count, nonce_hi, dtype=np.uint32)
-    s1 = np.full(block_count, nonce_lo, dtype=np.uint32)
-    s2 = (counters >> np.uint64(32)).astype(np.uint32)
-    s3 = (counters & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-
-    out0, out1, out2, out3 = _encrypt_words(cipher.round_keys, cipher.rounds,
-                                            s0, s1, s2, s3)
-    words = np.empty((block_count, 4), dtype=np.uint32)
-    words[:, 0] = out0
-    words[:, 1] = out1
-    words[:, 2] = out2
-    words[:, 3] = out3
-    return words.astype(">u4").tobytes()
-
-
-def ctr_transform(key: bytes, nonce: bytes, data: bytes, *,
-                  initial_counter: int = 0) -> bytes:
-    """Encrypt or decrypt ``data`` with AES-CTR (symmetric operation)."""
-    if not data:
-        return b""
-    block_count = (len(data) + 15) // 16
-    stream = keystream(key, nonce, block_count, initial_counter=initial_counter)
-    data_array = np.frombuffer(data, dtype=np.uint8)
-    stream_array = np.frombuffer(stream, dtype=np.uint8)[:len(data)]
-    return (data_array ^ stream_array).tobytes()
-
-
-# ---------------------------------------------------------------------
-# Cross-item batches: many (key, nonce, payload) triples in one sweep
-# ---------------------------------------------------------------------
 
 _U8 = np.uint32(8)
 _U16 = np.uint32(16)
@@ -162,10 +108,12 @@ def ctr_transform_many(keys, nonces, datas, *,
     are expanded in a single numpy sweep (:func:`expand_keys_128`), every
     block carries its item's schedule via one ``(blocks, 44)`` gather, and
     the whole batch shares one round-function evaluation.  Output is
-    bit-identical to per-item :func:`ctr_transform` / scalar ``aes_ctr``.
+    bit-identical to per-item ``aes_ctr``.
 
     All keys must be 16 bytes (AES-128, the deployment's data-key width);
-    callers with mixed widths fall back to the per-item path.
+    :func:`repro.crypto.modes.aes_ctr_many` sends other widths to the
+    per-item path, and rejects counter runs past ``2^64 - 1`` (which this
+    sweep would wrap) before calling it.
     """
     if not (len(keys) == len(nonces) == len(datas)):
         raise ValueError("batch arguments must have equal lengths")

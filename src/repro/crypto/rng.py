@@ -5,8 +5,10 @@ keys, modulators, the 160-bit replacement link modulator chosen during
 balancing) draws from a :class:`RandomSource`.  Two implementations exist:
 
 * :class:`SystemRandom` -- ``os.urandom``, for real deployments.
-* :class:`DeterministicRandom` -- HMAC-DRBG seeded explicitly, so that unit
-  tests, property tests, and benchmark runs are exactly reproducible.
+* :class:`DeterministicRandom` -- an AES-CTR keystream (run on
+  ``cryptography``) under a key HMAC-DRBG derives from an explicit seed,
+  so that unit tests, property tests, and benchmark runs are exactly
+  reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import abc
 import os
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.modes import aes_ctr
 
 
 class RandomSource(abc.ABC):
@@ -73,9 +76,10 @@ class DeterministicRandom(RandomSource):
     identical byte streams across runs and platforms.  The generator is a
     standard CTR_DRBG-style construction: the key and nonce are derived
     from the seed through HMAC-DRBG (SP 800-90A), and output is the
-    AES-CTR keystream under that key -- cryptographically strong and,
-    thanks to the vectorised AES engine, fast enough to generate the
-    multi-megabyte workloads the experiments need.
+    AES-CTR keystream under that key (``cryptography``'s AES, via
+    :func:`repro.crypto.modes.aes_ctr` over zero bytes) -- cryptographically
+    strong and fast enough to generate the multi-megabyte workloads the
+    experiments need.
     """
 
     _CHUNK_BLOCKS = 4096  # 64 KiB of keystream per refill
@@ -92,10 +96,9 @@ class DeterministicRandom(RandomSource):
         self._buffer = b""
 
     def _refill(self, minimum: int) -> None:
-        from repro.crypto.bulk import keystream
         blocks = max(self._CHUNK_BLOCKS, (minimum + 15) // 16)
-        self._buffer += keystream(self._key, self._nonce, blocks,
-                                  initial_counter=self._counter)
+        self._buffer += aes_ctr(self._key, self._nonce, bytes(16 * blocks),
+                                initial_counter=self._counter)
         self._counter += blocks
 
     def bytes(self, length: int) -> bytes:

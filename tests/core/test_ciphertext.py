@@ -1,10 +1,13 @@
 """The item codec {m || r, H(m || r)}_k."""
 
+import hashlib
+
 import pytest
 
 from repro.core.ciphertext import ItemCodec
 from repro.core.errors import IntegrityError
-from repro.core.params import SHA256_PARAMS
+from repro.core.params import SHA256_PARAMS, Params
+from repro.crypto.rng import DeterministicRandom
 
 
 @pytest.fixture
@@ -112,3 +115,22 @@ def test_sha256_codec(rng):
     ciphertext = codec.encrypt(key, b"payload", 3, rng.bytes(8))
     assert codec.overhead() == 8 + 8 + 32
     assert codec.decrypt(key, ciphertext) == (b"payload", 3)
+
+
+@pytest.mark.parametrize("count, size, digest", [
+    # 512 items of 92-byte payloads: the numpy cross-item sweep.
+    (512, 64,
+     "5fb648f69e7f9243051627ab4fdc1ef1bbdc1b78929ee28937b36e971e65a4a9"),
+    # 4 items of 1,052-byte payloads: per-item native AES.
+    (4, 1024,
+     "07fc7e46b1196850f4d373103f01e026ba960b022a3d3eaf5239e7055dad6e41"),
+])
+def test_golden_encrypt_many(count, size, digest):
+    """Stored ciphertexts stay bit-identical whichever AES engine runs."""
+    rng = DeterministicRandom(f"golden-codec-{count}x{size}")
+    outputs = [rng.bytes(20) for _ in range(count)]
+    messages = [rng.bytes(size) for _ in range(count)]
+    nonces = [rng.bytes(8) for _ in range(count)]
+    ciphertexts = ItemCodec(Params()).encrypt_many(
+        outputs, messages, list(range(1, count + 1)), nonces)
+    assert hashlib.sha256(b"".join(ciphertexts)).hexdigest() == digest

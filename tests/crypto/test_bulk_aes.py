@@ -1,17 +1,20 @@
-"""Cross-item bulk AES-CTR against the scalar reference (ISSUE 5).
+"""Cross-item bulk AES-CTR against the scalar reference.
 
 ``ctr_transform_many`` runs every item's counter blocks through one
 vectorised sweep with per-block key schedules; these tests pin it
 bit-for-bit to per-item ``aes_ctr``/``aes_ctr_scalar`` and cover the
 lane-layout corner cases (empty payloads, sub-block payloads, huge
-batches, counter offsets).
+batches, counter offsets).  ``aes_ctr_many`` must give the same bytes on
+both sides of its engine crossover.
 """
 
 import pytest
 
+from repro.crypto import bulk
 from repro.crypto.aes import AES
 from repro.crypto.bulk import ctr_transform_many, expand_keys_128
-from repro.crypto.modes import aes_ctr, aes_ctr_many, aes_ctr_scalar
+from repro.crypto.modes import (BULK_MAX_BLOCKS, BULK_MIN_ITEMS, aes_ctr,
+                                aes_ctr_many, aes_ctr_scalar)
 
 
 def _batch(rng, sizes):
@@ -91,16 +94,55 @@ def test_rejects_bad_arguments(rng):
 
 def test_aes_ctr_many_dispatch(rng):
     """The modes-level wrapper matches per-item calls for every key mix."""
-    # All-16-byte batch takes the vectorised path.
     keys, nonces, datas = _batch(rng, [10, 50, 0])
     assert aes_ctr_many(keys, nonces, datas) == [
         aes_ctr(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
-    # A 32-byte key forces the per-item fallback; results still match.
+    # A 32-byte key forces the per-item path; results still match.
     keys[1] = rng.bytes(32)
     assert aes_ctr_many(keys, nonces, datas) == [
         aes_ctr(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
     with pytest.raises(ValueError):
         aes_ctr_many(keys, nonces[:2], datas)
+
+
+def _sizes_with_mean_blocks(count, mean_blocks):
+    """Mixed payload sizes, a quarter of them empty, averaging
+    ``mean_blocks`` 16-byte blocks per item."""
+    cycle = [0, 16 * mean_blocks - 5, 16 * mean_blocks,
+             16 * 2 * mean_blocks - 9]
+    return [cycle[i % 4] for i in range(count)]
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Record each batch that reaches the numpy sweep."""
+    calls = []
+    real = bulk.ctr_transform_many
+
+    def spy(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, "ctr_transform_many", spy)
+    return calls
+
+
+@pytest.mark.parametrize("initial_counter", [0, 9])
+@pytest.mark.parametrize("count, mean_blocks, swept", [
+    (BULK_MIN_ITEMS, BULK_MAX_BLOCKS - 1, True),   # just below: numpy
+    (BULK_MIN_ITEMS, BULK_MAX_BLOCKS, False),      # at the crossover: native
+    (BULK_MIN_ITEMS - 4, 2, False),                # too few items: native
+], ids=["below-crossover", "at-crossover", "small-batch"])
+def test_aes_ctr_many_matches_scalar_across_crossover(
+        rng, sweep_calls, count, mean_blocks, swept, initial_counter):
+    keys, nonces, datas = _batch(rng, _sizes_with_mean_blocks(count,
+                                                              mean_blocks))
+    batch = aes_ctr_many(keys, nonces, datas, initial_counter=initial_counter)
+    assert sweep_calls == ([count] if swept else [])
+    assert len(batch) == count
+    for key, nonce, data, out in zip(keys, nonces, datas, batch):
+        assert out == aes_ctr_scalar(key, nonce, data,
+                                     initial_counter=initial_counter)
 
 
 def test_transform_is_involution(rng):

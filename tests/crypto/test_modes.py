@@ -3,7 +3,8 @@
 import pytest
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import (aes_ctr, aes_ctr_scalar, aes_ecb_decrypt,
+from repro.crypto.modes import (BULK_MAX_BLOCKS, aes_ctr, aes_ctr_many,
+                                aes_ctr_scalar, aes_ecb_decrypt,
                                 aes_ecb_encrypt)
 
 KEY128 = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -34,6 +35,63 @@ def test_ctr_keystream_matches_sp800_38a_structure():
     plaintext = SP_PLAINTEXT[:16]
     expected_ct = bytes.fromhex("874d6191b620e3261bef6864990db6ce")
     assert aes_ctr(key, nonce, plaintext, initial_counter=initial) == expected_ct
+
+
+def test_sp800_38a_f51_ctr_aes128_full_vector():
+    """All four blocks of SP 800-38A F.5.1 (CTR-AES128.Encrypt)."""
+    nonce = bytes.fromhex("f0f1f2f3f4f5f6f7")
+    initial = int.from_bytes(bytes.fromhex("f8f9fafbfcfdfeff"), "big")
+    expected = bytes.fromhex("874d6191b620e3261bef6864990db6ce"
+                             "9806f66b7970fdff8617187bb9fffdff"
+                             "5ae4df3edbd5d35e5b4f09020db03eab"
+                             "1e031dda2fbe03d1792170a0f3009cee")
+    assert aes_ctr(KEY128, nonce, SP_PLAINTEXT,
+                   initial_counter=initial) == expected
+    assert aes_ctr(KEY128, nonce, expected,
+                   initial_counter=initial) == SP_PLAINTEXT
+    assert aes_ctr_scalar(KEY128, nonce, SP_PLAINTEXT,
+                          initial_counter=initial) == expected
+
+
+@pytest.mark.parametrize("initial_counter", [0, 3])
+@pytest.mark.parametrize("size", [
+    16 * (BULK_MAX_BLOCKS - 1) - 1, 16 * (BULK_MAX_BLOCKS - 1),
+    16 * BULK_MAX_BLOCKS + 1, 16 * (BULK_MAX_BLOCKS + 1)])
+def test_ctr_matches_scalar_around_crossover(size, initial_counter, rng):
+    key, nonce = rng.bytes(16), rng.bytes(8)
+    data = rng.bytes(size)
+    assert aes_ctr(key, nonce, data, initial_counter=initial_counter) == \
+        aes_ctr_scalar(key, nonce, data, initial_counter=initial_counter)
+
+
+def test_ctr_counter_may_end_at_2_64_minus_1(rng):
+    key, nonce = rng.bytes(16), rng.bytes(8)
+    data = rng.bytes(40)  # three blocks: counters 2^64-3 .. 2^64-1
+    last = 2 ** 64 - 3
+    assert aes_ctr(key, nonce, data, initial_counter=last) == \
+        aes_ctr_scalar(key, nonce, data, initial_counter=last)
+    assert aes_ctr(key, nonce, b"", initial_counter=2 ** 64) == b""
+
+
+def test_ctr_rejects_counter_range_past_2_64(rng):
+    """A counter run past 2^64 - 1 must fail, never wrap or carry.
+
+    Wrapping to ``nonce || 0`` reuses keystream; carrying into the nonce
+    collides with another nonce's stream.  Both engines refuse alike.
+    """
+    key, nonce = rng.bytes(16), rng.bytes(8)
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, bytes(17), initial_counter=2 ** 64 - 1)
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, bytes(1), initial_counter=2 ** 64)
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, bytes(1), initial_counter=-1)
+    with pytest.raises(ValueError):
+        aes_ctr_many([key, key], [nonce, nonce], [bytes(48)] * 2,
+                     initial_counter=2 ** 64 - 2)
+    with pytest.raises(ValueError):
+        aes_ctr_many([key] * 300, [nonce] * 300, [bytes(48)] * 300,
+                     initial_counter=2 ** 64 - 2)
 
 
 @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 31, 32, 100, 4096, 5000])
