@@ -1,34 +1,34 @@
-"""Cold-start and warm-delete cost of the out-of-core storage engines.
+"""Cold start and warm-delete cost of the SQLite storage engine.
 
-ISSUE 10 acceptance benchmark.  One dense world of ``N`` items is built
-directly (random modulators via :meth:`DenseModulatorStore.bulk_fill`,
-real ciphertexts only for the delete targets) and persisted two ways:
+One dense world of ``N`` items is built directly (random modulators via
+:meth:`ModulationTree.build_random`, real ciphertexts only for the
+delete targets) and made durable two ways:
 
-* the legacy whole-image format (``save_server``/``load_server``), and
-* a storage engine (SQLite, plus the log backend at its documented
-  ``min(N, 10^5)`` scale -- its opening scan is O(n)).
+* as a full-history WAL -- the world's one ``OutsourceRequest`` -- that
+  recovery replays into an empty server (``recover_server(wal)``, no
+  engine), the only O(n) cold start left; and
+* as the SQLite engine ``state.db`` (``compact_storage``), which
+  ``recover_server(wal, engine=...)`` opens before replaying only the
+  WAL tail -- O(working set), independent of N.
 
-Cold start is then the wall time to get a serving server back:
-``load_server(image)`` decodes every node up front, while
-``recover_server(None, wal, engine=...)`` opens the engine and replays
-only the WAL tail -- O(working set), independent of N.  Warm delete
-latency runs the full two-party deletion protocol over a loopback
-channel against both worlds (same keys, same targets, same client rng)
-and compares medians.  Finally the WAL-replay bound is checked: replay
-work equals the mutations since the last ``compact_storage``, and drops
-to zero right after one.
+Warm delete latency runs the full two-party deletion protocol over a
+loopback channel against both recovered worlds (same keys, same
+targets, same client rng) and compares medians.  Finally the WAL-replay
+bound is checked: replay work equals the mutations since the last
+``compact_storage``, and drops to zero right after one.
 
-Floors (ISSUE 10): SQLite cold start >= 10x faster than image load,
-warm delete median <= 1.3x in-memory, WAL replay bounded by work since
+Floors: engine cold start >= 10x faster than full-history replay, warm
+delete median <= 1.3x in-memory, WAL replay bounded by work since
 compaction.  The sweep lands in ``BENCH_storage.json`` at the repo root
-(next to ``BENCH_shard.json``); ``REPRO_FULL_SCALE=1`` runs the paper
-scale n=10^6, the default n=10^5 keeps CI within budget.
+(next to ``BENCH_shard.json``) with its scale; ``REPRO_FULL_SCALE=1``
+runs the paper scale n=10^6, the default n=10^5 keeps CI within budget.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import random
 import shutil
 import statistics
@@ -45,9 +45,9 @@ from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
 from repro.core.tree import ModulationTree
 from repro.crypto.rng import DeterministicRandom
+from repro.protocol import messages as msg
 from repro.protocol.channel import LoopbackChannel
 from repro.server.engine import make_engine
-from repro.server.persistence import load_server, save_server
 from repro.server.server import CloudServer
 from repro.server.storage import InMemoryCiphertextStore
 from repro.server.wal import CommitLog, recover_server
@@ -55,9 +55,6 @@ from repro.server.wal import CommitLog, recover_server
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE", "") not in ("", "0")
 #: Paper scale when REPRO_FULL_SCALE=1; CI-budget scale otherwise.
 N_ITEMS = 1_000_000 if FULL_SCALE else 100_000
-#: The log backend's opening scan is O(n) (documented resident-index
-#: limit, docs/STORAGE.md), so its sweep is capped at 10^5.
-N_LOG = min(N_ITEMS, 100_000)
 FILE_ID = 7
 WARMUP_DELETES = 4
 MEASURED_DELETES = 32
@@ -106,6 +103,24 @@ def _build_seed(n: int, seed: str) -> tuple[CloudServer, bytes, list[int]]:
     return server, master_key, targets
 
 
+def _write_history(server: CloudServer, wal_path: str) -> None:
+    """Log the world as the one ``OutsourceRequest`` that would have
+    created it: the full-history WAL an engine-less recovery replays."""
+    state = server.file_state(FILE_ID)
+    tree = state.tree
+    item_ids = sorted(tree.item_ids(), key=tree.slot_of_item)
+    links, leaves = [], []
+    for kind, _slot, value in tree.iter_modulators():
+        (links if kind == "link" else leaves).append(value)
+    request = msg.OutsourceRequest(
+        file_id=FILE_ID, item_ids=tuple(item_ids), links=tuple(links),
+        leaves=tuple(leaves),
+        ciphertexts=tuple(state.ciphertexts.get(i) for i in item_ids),
+        request_id=1)
+    with CommitLog(wal_path) as log:
+        log.append(msg.encode_message(server.ctx, request))
+
+
 def _timed_deletes(server: CloudServer, master_key: bytes,
                    targets: list[int]) -> list[float]:
     """Run the deletion protocol for every target; per-delete seconds."""
@@ -121,16 +136,15 @@ def _timed_deletes(server: CloudServer, master_key: bytes,
     return timings
 
 
-def _engine_world(data_dir: str, backend: str, n: int,
-                  seed: str) -> dict[str, float]:
-    """Build + convert one world; measure image vs engine cold start."""
-    image_path = os.path.join(data_dir, f"{backend}.image")
-    engine_file = os.path.join(data_dir, f"{backend}.engine")
-    wal_path = os.path.join(data_dir, f"{backend}.wal")
+def _engine_world(data_dir: str, n: int, seed: str) -> dict:
+    """Build one world; measure full-history replay vs engine cold start."""
+    history_wal = os.path.join(data_dir, "history.wal")
+    engine_file = os.path.join(data_dir, "state.db")
+    wal_path = os.path.join(data_dir, "server.wal")
 
     seed_server, master_key, targets = _build_seed(n, seed)
-    save_server(seed_server, image_path)
-    engine = make_engine(backend, engine_file)
+    _write_history(seed_server, history_wal)
+    engine = make_engine("sqlite", engine_file)
     seed_server.attach_engine(engine)
     convert_start = time.perf_counter()
     seed_server.compact_storage()
@@ -138,38 +152,34 @@ def _engine_world(data_dir: str, backend: str, n: int,
     engine.close()
     del seed_server
 
-    load_start = time.perf_counter()
-    image_server = load_server(image_path, PARAMS)
-    image_seconds = time.perf_counter() - load_start
-    image_server.attach_wal(CommitLog(os.path.join(data_dir,
-                                                   f"{backend}.mem.wal")))
+    replay_start = time.perf_counter()
+    replay_server = recover_server(history_wal, PARAMS)
+    replay_seconds = time.perf_counter() - replay_start
 
     recover_start = time.perf_counter()
-    engine_server = recover_server(None, wal_path, PARAMS,
-                                   engine=make_engine(backend, engine_file))
+    engine_server = recover_server(wal_path, PARAMS,
+                                   engine=make_engine("sqlite", engine_file))
     engine_seconds = time.perf_counter() - recover_start
 
-    result = {
-        "backend": backend,
+    return {
         "n_items": n,
-        "image_bytes": os.path.getsize(image_path),
+        "history_wal_bytes": os.path.getsize(history_wal),
         "engine_bytes": os.path.getsize(engine_file),
         "convert_seconds": convert_seconds,
-        "image_load_seconds": image_seconds,
+        "replay_cold_start_seconds": replay_seconds,
         "engine_cold_start_seconds": engine_seconds,
-        "cold_start_speedup": image_seconds / engine_seconds,
+        "cold_start_speedup": replay_seconds / engine_seconds,
         "master_key": master_key,
         "targets": targets,
-        "image_server": image_server,
+        "replay_server": replay_server,
         "engine_server": engine_server,
         "wal_path": wal_path,
         "engine_file": engine_file,
     }
-    return result
 
 
 def _close_world(world: dict) -> None:
-    for key in ("image_server", "engine_server"):
+    for key in ("replay_server", "engine_server"):
         server = world.get(key)
         if server is None:
             continue
@@ -183,22 +193,25 @@ def _close_world(world: dict) -> None:
 @pytest.fixture(scope="module")
 def storage_curve() -> dict:
     data_dir = tempfile.mkdtemp(prefix="repro-bench-storage-")
-    record: dict = {"schema": 1, "full_scale": FULL_SCALE,
-                    "measured_deletes": MEASURED_DELETES}
+    record: dict = {"schema": 2, "full_scale": FULL_SCALE,
+                    "n_items": N_ITEMS,
+                    "measured_deletes": MEASURED_DELETES,
+                    "machine": {"cpu_count": os.cpu_count(),
+                                "processor": platform.machine(),
+                                "python": platform.python_version()}}
     try:
-        # -- SQLite: the floor-bearing backend, at full N ---------------
-        world = _engine_world(data_dir, "sqlite", N_ITEMS, "storage-bench")
-        mem_times = _timed_deletes(world["image_server"], world["master_key"],
-                                   world["targets"])
-        eng_times = _timed_deletes(world["engine_server"], world["master_key"],
-                                   world["targets"])
+        world = _engine_world(data_dir, N_ITEMS, "storage-bench")
+        mem_times = _timed_deletes(world["replay_server"],
+                                   world["master_key"], world["targets"])
+        eng_times = _timed_deletes(world["engine_server"],
+                                   world["master_key"], world["targets"])
         mem_median = statistics.median(mem_times[WARMUP_DELETES:])
         eng_median = statistics.median(eng_times[WARMUP_DELETES:])
 
         # -- WAL replay bound: work since the last compaction -----------
         deletes = len(world["targets"])
         _close_world(world)
-        replay_server = recover_server(None, world["wal_path"], PARAMS,
+        replay_server = recover_server(world["wal_path"], PARAMS,
                                        engine=make_engine("sqlite",
                                                           world["engine_file"]))
         replayed_before = replay_server.last_recovery["replayed_records"]
@@ -206,7 +219,7 @@ def storage_curve() -> dict:
         replay_server.wal.close()
         replay_server.engine.close()
         compacted_start = time.perf_counter()
-        compacted = recover_server(None, world["wal_path"], PARAMS,
+        compacted = recover_server(world["wal_path"], PARAMS,
                                    engine=make_engine("sqlite",
                                                       world["engine_file"]))
         compacted_seconds = time.perf_counter() - compacted_start
@@ -216,10 +229,11 @@ def storage_curve() -> dict:
 
         record["sqlite"] = {
             "n_items": N_ITEMS,
-            "image_bytes": world["image_bytes"],
+            "history_wal_bytes": world["history_wal_bytes"],
             "engine_bytes": world["engine_bytes"],
             "convert_seconds": round(world["convert_seconds"], 4),
-            "image_load_seconds": round(world["image_load_seconds"], 4),
+            "replay_cold_start_seconds":
+                round(world["replay_cold_start_seconds"], 4),
             "engine_cold_start_seconds":
                 round(world["engine_cold_start_seconds"], 4),
             "cold_start_speedup": round(world["cold_start_speedup"], 2),
@@ -232,40 +246,17 @@ def storage_curve() -> dict:
             "cold_start_after_compaction_seconds":
                 round(compacted_seconds, 4),
         }
-
-        # -- Log backend: documented O(n)-scan limit, capped at 10^5 ----
-        log_world = _engine_world(data_dir, "log", N_LOG, "storage-bench-log")
-        _close_world(log_world)
-        record["log"] = {
-            "n_items": N_LOG,
-            "image_bytes": log_world["image_bytes"],
-            "engine_bytes": log_world["engine_bytes"],
-            "convert_seconds": round(log_world["convert_seconds"], 4),
-            "image_load_seconds": round(log_world["image_load_seconds"], 4),
-            "engine_cold_start_seconds":
-                round(log_world["engine_cold_start_seconds"], 4),
-            "cold_start_speedup": round(log_world["cold_start_speedup"], 2),
-        }
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
+    sq = record["sqlite"]
     lines = [
-        f"Storage-engine cold start vs whole-image persistence "
+        f"Storage-engine cold start vs full-history WAL replay "
         f"(n={N_ITEMS}, {MEASURED_DELETES} measured deletes)",
         "",
-        f"{'backend':>8} {'n':>9} {'image load':>11} {'cold start':>11} "
-        f"{'speedup':>8}",
-    ]
-    for backend in ("sqlite", "log"):
-        row = record[backend]
-        lines.append(
-            f"{backend:>8} {row['n_items']:>9} "
-            f"{row['image_load_seconds']:>10.3f}s "
-            f"{row['engine_cold_start_seconds']:>10.4f}s "
-            f"{row['cold_start_speedup']:>7.1f}x")
-    sq = record["sqlite"]
-    lines += [
-        "",
+        f"replay into an empty server {sq['replay_cold_start_seconds']:.3f}s,"
+        f" sqlite engine {sq['engine_cold_start_seconds']:.4f}s "
+        f"({sq['cold_start_speedup']:.1f}x)",
         f"warm delete median: memory "
         f"{sq['delete_median_memory_seconds'] * 1e3:.2f} ms, sqlite "
         f"{sq['delete_median_engine_seconds'] * 1e3:.2f} ms "
@@ -284,14 +275,14 @@ def storage_curve() -> dict:
 
 
 def test_cold_start_floor(storage_curve):
-    """ISSUE 10 acceptance: SQLite cold start >= 10x faster than the
-    whole-image load -- the engine opens O(1), the image decodes O(n)."""
+    """Engine cold start >= 10x faster than replaying the full history
+    into an empty server -- the engine opens O(1), replay is O(n)."""
     assert storage_curve["sqlite"]["cold_start_speedup"] >= 10.0, \
         storage_curve["sqlite"]
 
 
 def test_warm_delete_latency_floor(storage_curve):
-    """ISSUE 10 acceptance: paged deletes within 1.3x of in-memory."""
+    """Paged deletes within 1.3x of in-memory."""
     assert storage_curve["sqlite"]["delete_latency_ratio"] <= 1.3, \
         storage_curve["sqlite"]
 
@@ -306,23 +297,18 @@ def test_wal_replay_bounded_by_compaction(storage_curve):
         max(1.0, 2 * sq["engine_cold_start_seconds"]), sq
 
 
-def test_log_backend_recorded(storage_curve):
-    """The log backend rides the sweep (no 10x floor: its opening scan
-    is O(n) by design -- see docs/STORAGE.md)."""
-    assert storage_curve["log"]["engine_cold_start_seconds"] > 0
-
-
 def test_quick_storage_smoke():
     """CI smoke: tiny world, shape only -- engine cold start beats the
-    image load and the deletion protocol works over paged state."""
+    full-history replay and the deletion protocol works over paged
+    state."""
     data_dir = tempfile.mkdtemp(prefix="repro-bench-storage-smoke-")
     try:
-        world = _engine_world(data_dir, "sqlite", 4096, "smoke")
+        world = _engine_world(data_dir, 4096, "smoke")
         times = _timed_deletes(world["engine_server"], world["master_key"],
                                world["targets"][:6])
         assert len(times) == 6
         assert world["engine_cold_start_seconds"] < \
-            world["image_load_seconds"], world
+            world["replay_cold_start_seconds"], world
         _close_world(world)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)

@@ -4,7 +4,11 @@ A small but complete front end over the library, for exploring the system
 from a shell.  State is kept in two places, mirroring the two parties:
 
 * the *server directory* (``--server-dir``) holds everything the cloud
-  would hold -- ciphertexts and the modulation trees, in plaintext files;
+  would hold -- ciphertexts and the modulation trees, unencrypted; with
+  ``serve --durable`` they live in one SQLite storage engine
+  (``state.db``) plus a write-ahead log (``server.wal``), the only
+  durable server format (a directory holding an older format, or a WAL
+  without ``state.db``, is refused rather than silently emptied);
 * the *client file* (``--client-file``) holds what the client device
   would hold -- the control keys and the item counter.
 
@@ -21,10 +25,9 @@ Commands::
                                             # (several positions = one batch)
     repro-vault drop <name>                 # assured whole-file deletion
     repro-vault serve --port 9000           # expose the vault over TCP
-    repro-vault serve --port 9000 --durable # crash-safe: WAL + checkpoints
-    repro-vault serve --durable --backend sqlite
-                                            # out-of-core: files page in
-                                            #   from a storage engine
+    repro-vault serve --port 9000 --durable # crash-safe, out-of-core: files
+                                            #   page in from state.db; WAL
+                                            #   replayed on restart
     repro-vault compact                     # offline flush + WAL compact
     repro-vault serve --metrics-port 9100   # + /metrics /healthz /readyz
                                             #   /statusz over HTTP
@@ -249,10 +252,6 @@ def cmd_serve(vault: Vault, args) -> int:
     vault.load()
     if vault.fs.server is None:
         raise ReproError("this vault was created against an external server")
-    if args.backend != "memory" and not args.durable:
-        raise ReproError(
-            f"--backend {args.backend} requires --durable (the engine "
-            f"file replaces the checkpoint image)")
     if args.use_async:
         from repro.protocol.aio import AsyncTcpServerHost as host_cls
     else:
@@ -284,57 +283,48 @@ def cmd_serve(vault: Vault, args) -> int:
         return _serve_sharded(vault, args, metrics_server)
 
     server = vault.fs.server
+    audit_log = None
+    if args.audit:
+        # Every mutating request appends one chained record; recovery
+        # below also records replayed commits the chain does not hold.
+        from repro.obs.audit import AuditLog
+        audit_path = os.path.join(vault.server_dir, "audit.log")
+        audit_log = AuditLog(audit_path)
     if args.durable:
-        # Crash-safe mode: state lives in an image + write-ahead log under
-        # the server directory, not in the pickle snapshot.  First durable
-        # serve bootstraps the image from the vault; later ones recover
-        # from image + WAL (surviving kill -9 mid-commit).  With a
-        # non-memory --backend the image is replaced by a storage-engine
-        # file and files page in on demand (O(working-set) memory).
-        from repro.server.persistence import save_server
-        from repro.server.wal import checkpoint, recover_server
-        image = os.path.join(vault.server_dir, "server.img")
+        # Crash-safe mode: state lives in the storage engine + write-ahead
+        # log under the server directory, not in the pickle snapshot, and
+        # files page in on demand (O(working-set) memory).  The first
+        # durable serve writes the vault's files into the engine; later
+        # ones open it and replay the WAL tail (surviving kill -9
+        # mid-commit).
+        from repro.server.engine import (check_state_dir, engine_path,
+                                         make_engine)
+        from repro.server.wal import recover_server
         wal_path = os.path.join(vault.server_dir, "server.wal")
-        if args.backend != "memory":
-            from repro.server.engine import engine_path, make_engine
-            engine_file = engine_path(vault.server_dir, args.backend)
-            fresh = (not os.path.exists(engine_file)
-                     and not os.path.exists(wal_path))
-            engine = make_engine(args.backend, engine_file)
-            if fresh:
-                # Bootstrap: write the vault's files into the engine once
-                # (no WAL attached yet, so this is a pure engine flush).
-                server.attach_engine(engine)
-                server.compact_storage()
-            server = recover_server(None, wal_path,
-                                    group_commit=args.group_commit,
-                                    engine=engine,
-                                    cache_nodes=args.cache_nodes)
-            _print(f"durable state: {engine_file} ({args.backend} engine) "
-                   f"+ {wal_path}"
-                   + (" (group commit)" if args.group_commit else ""))
-        else:
-            if not os.path.exists(image) and not os.path.exists(wal_path):
-                save_server(server, image)
-            server = recover_server(image, wal_path,
-                                    group_commit=args.group_commit)
-            _print(f"durable state: {image} + {wal_path}"
-                   + (" (group commit)" if args.group_commit else ""))
+        check_state_dir(vault.server_dir, wal_path)
+        engine_file = engine_path(vault.server_dir)
+        fresh = not os.path.exists(engine_file)
+        engine = make_engine(args.backend, engine_file)
+        if fresh:
+            # Bootstrap: write the vault's files into the engine once
+            # (no WAL attached yet, so this is a pure engine flush).
+            server.attach_engine(engine)
+            server.compact_storage()
+        server = recover_server(wal_path, engine=engine,
+                                group_commit=args.group_commit,
+                                cache_nodes=args.cache_nodes,
+                                audit=audit_log)
+        _print(f"durable state: {engine_file} + {wal_path}"
+               + (" (group commit)" if args.group_commit else ""))
         HEALTH.register("wal", server.wal.health)
         rec = server.last_recovery
         _print(f"cold start {rec['load_seconds'] + rec['replay_seconds']:.3f}s"
                f" (state load {rec['load_seconds']:.3f}s + WAL replay of "
                f"{rec['replayed_records']} record(s) "
                f"{rec['replay_seconds']:.3f}s)")
-
-    audit_log = None
-    if args.audit:
-        # Attached AFTER recovery so replayed history is not re-recorded;
-        # from here on every mutating request appends one chained record.
-        from repro.obs.audit import AuditLog
-        audit_path = os.path.join(vault.server_dir, "audit.log")
-        audit_log = AuditLog(audit_path)
+    elif audit_log is not None:
         server.attach_audit(audit_log)
+    if audit_log is not None:
         _print(f"audit trail: {audit_path} "
                f"(chain at seq {audit_log.seq})")
 
@@ -352,7 +342,7 @@ def cmd_serve(vault: Vault, args) -> int:
             # the checkpoint starts tearing state down.
             HEALTH.set_stopping()
             if args.durable:
-                checkpoint(server, image)
+                server.compact_storage()
                 HEALTH.unregister("wal")
             if audit_log is not None:
                 audit_log.close()
@@ -364,7 +354,7 @@ def cmd_serve(vault: Vault, args) -> int:
 def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     """Serve the vault as N consistent-hash shards, one host per shard.
 
-    Each shard is an isolated server with its own WAL + checkpoint image
+    Each shard is an isolated server with its own WAL + ``state.db``
     (``--durable``) and audit chain (``--audit``) under
     ``<server-dir>/shards/shard-<i>/``.  The vault's files are adopted
     onto their ring-assigned shards on first serve; clients connect with
@@ -380,15 +370,16 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
         args.shards, params=vault.fs.params, transport=transport,
         data_dir=shard_dir, durable=args.durable, audit=args.audit,
         group_commit=args.group_commit, max_conns=args.max_conns,
-        base_port=args.port, storage_backend=args.backend,
+        base_port=args.port,
+        storage_backend=args.backend if args.durable else "memory",
         cache_nodes=args.cache_nodes)
     if args.durable:
         # First durable serve splits the vault's files across the ring
         # and checkpoints each shard; later serves recover every shard
-        # independently from its own image + WAL.
+        # independently from its own engine + WAL.
         if not cluster.had_state:
             placed = cluster.adopt_server(vault.fs.server)
-            cluster.checkpoint()
+            cluster.compact()
             _print(f"bootstrapped {placed} file(s) into {args.shards} "
                    f"durable shards")
         _print(f"durable shard state under {shard_dir}"
@@ -415,7 +406,7 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
         # per-shard checkpoints start tearing state down.
         HEALTH.set_stopping()
         if args.durable:
-            cluster.checkpoint()
+            cluster.compact()
         cluster.unregister_health()
         cluster.stop()
         if metrics_server is not None:
@@ -424,43 +415,32 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
 
 
 def cmd_compact(vault: Vault, args) -> int:
-    """Offline flush + WAL compaction for an engine-backed vault.
+    """Offline flush + WAL compaction for a durable vault.
 
-    Opens the storage engine and WAL under the server directory (the
-    server must not be running), replays outstanding WAL records into
-    the engine, flushes, truncates the WAL behind a snapshot marker,
-    and asks the backend to reclaim dead space (SQLite ``VACUUM`` /
-    log-file rewrite).  After this, the next ``serve --durable
-    --backend ...`` cold-starts with an empty replay.
+    Opens ``state.db`` and the WAL under the server directory (the server
+    must not be running), replays outstanding WAL records into the
+    engine, flushes, truncates the WAL behind a snapshot marker, and
+    reclaims dead space (SQLite ``VACUUM``).  After this, the next
+    ``serve --durable`` cold-starts with an empty replay.
     """
-    from repro.server.engine import BACKENDS, engine_path, make_engine
+    from repro.server.engine import check_state_dir, engine_path, make_engine
     from repro.server.wal import recover_server
 
-    backend = args.backend
-    if backend is None:
-        # Autodetect from which engine file exists under the server dir.
-        candidates = [b for b in BACKENDS if b != "memory"
-                      and os.path.exists(engine_path(vault.server_dir, b))]
-        if len(candidates) != 1:
-            raise ReproError(
-                "cannot autodetect the storage backend under "
-                f"{vault.server_dir!r}; pass --backend log|sqlite")
-        backend = candidates[0]
-    engine_file = engine_path(vault.server_dir, backend)
+    wal_path = os.path.join(vault.server_dir, "server.wal")
+    check_state_dir(vault.server_dir, wal_path)
+    engine_file = engine_path(vault.server_dir)
     if not os.path.exists(engine_file):
         raise ReproError(
-            f"no {backend} engine state at {engine_file!r}; serve with "
-            f"--durable --backend {backend} first")
-    wal_path = os.path.join(vault.server_dir, "server.wal")
-    engine = make_engine(backend, engine_file)
+            f"no engine state at {engine_file!r}; serve with --durable "
+            f"first")
+    engine = make_engine("sqlite", engine_file)
     try:
-        server = recover_server(None, wal_path, engine=engine)
+        server = recover_server(wal_path, engine=engine)
         stats = server.compact_storage()
-        engine.compact()  # reclaim dead space in the backend file itself
+        engine.compact()  # reclaim dead space in the engine file itself
         server.wal.close()
     finally:
         engine.close()
-    stats["backend"] = backend
     stats["replayed_records"] = server.last_recovery["replayed_records"]
     stats["seconds"] = round(stats["seconds"], 6)
     _print(json.dumps(stats, indent=2))
@@ -655,17 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve")
     serve.add_argument("--port", type=int, default=0)
     serve.add_argument("--durable", action="store_true",
-                       help="serve crash-safe state (WAL + checkpoint image "
-                            "under the server directory)")
-    serve.add_argument("--backend", choices=("memory", "log", "sqlite"),
-                       default="memory",
-                       help="storage engine for durable state: 'memory' "
-                            "keeps everything resident (checkpoint image), "
-                            "'log'/'sqlite' page files in from a single "
-                            "engine file on demand (requires --durable)")
+                       help="serve crash-safe state (state.db storage "
+                            "engine + WAL under the server directory)")
+    serve.add_argument("--backend", choices=("sqlite",), default="sqlite",
+                       help="storage engine for --durable state (sqlite "
+                            "is the only one)")
     serve.add_argument("--cache-nodes", type=int, default=65536,
-                       help="bound on cached tree nodes for non-memory "
-                            "backends (0 disables the cache)")
+                       help="bound on cached tree nodes with --durable "
+                            "(0 disables the cache)")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="also expose Prometheus metrics over HTTP on "
                             "this port (0 = ephemeral)")
@@ -673,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve N consistent-hash shards, one host per "
                             "shard on ports --port..--port+N-1 (0 = all "
                             "ephemeral); each shard owns its own WAL, "
-                            "checkpoint, and audit chain")
+                            "engine, and audit chain")
     serve.add_argument("--max-conns", type=int, default=None,
                        help="bound concurrently served TCP connections "
                             "(excess dials queue in the listen backlog)")
@@ -697,12 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "even when sampled out")
     serve.set_defaults(func=cmd_serve)
     compact = sub.add_parser(
-        "compact", help="offline flush + WAL compaction for an "
-                        "engine-backed vault (server must be stopped)")
-    compact.add_argument("--backend", choices=("log", "sqlite"),
-                         default=None,
-                         help="storage backend (default: autodetect from "
-                              "the engine file under the server directory)")
+        "compact", help="offline flush + WAL compaction for a durable "
+                        "vault (server must be stopped)")
     compact.set_defaults(func=cmd_compact)
     stress = sub.add_parser(
         "stress", help="run one seeded concurrency stress iteration")
@@ -719,10 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "consistent-hash router")
     stress.add_argument("--toggle-caches", action="store_true",
                         help="randomly flip the server view cache mid-run")
-    stress.add_argument("--backend", choices=("memory", "log", "sqlite"),
+    stress.add_argument("--backend", choices=("memory", "sqlite"),
                         default="memory",
                         help="storage engine behind the stressed shards "
-                             "(non-memory adds mid-run WAL compaction)")
+                             "(sqlite adds mid-run WAL compaction)")
     stress.add_argument("-v", "--verbose", action="store_true",
                         help="pretty-print the report")
     stress.set_defaults(func=cmd_stress)

@@ -53,5 +53,5 @@ class SimulatedCrash(ReproError):
     Raised by :meth:`repro.server.server.CloudServer` when a test armed a
     crash point; everything the process would lose in a real ``kill -9``
     (un-checkpointed in-memory state) must be considered lost by the test
-    harness, which restarts the server from its on-disk image + WAL.
+    harness, which restarts the server from its on-disk engine + WAL.
     """

@@ -3,9 +3,9 @@
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay caches,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
-its own checkpoint image and audit chain, optionally its own TCP or
+its own storage engine and audit chain, optionally its own TCP or
 async host.  Nothing is shared between shards except the process, so a
-shard crash, recovery, or checkpoint never touches its siblings, and
+shard crash, recovery, or compaction never touches its siblings, and
 durable-mutation throughput scales with the number of independent WAL
 fsync streams.
 
@@ -31,7 +31,7 @@ from repro.core.params import Params
 from repro.fs.sharding import DEFAULT_VNODES, HashRing, ShardMap
 from repro.obs import runtime as obs
 from repro.server.server import CloudServer
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.wal import CommitLog, recover_server
 
 TRANSPORTS = ("loopback", "tcp", "async")
 
@@ -64,19 +64,18 @@ class _ShardBackend:
 
 
 class ShardUnit:
-    """One shard: server + WAL + checkpoint + audit + optional host."""
+    """One shard: server + WAL + engine + audit + optional host."""
 
     def __init__(self, shard_id: int, directory: str) -> None:
         self.shard_id = shard_id
         self.directory = directory
         self.wal_path = os.path.join(directory, "shard.wal")
-        self.image_path = os.path.join(directory, "shard.img")
         self.audit_path = os.path.join(directory, "audit.log")
         self.server: CloudServer | None = None
         self.wal: CommitLog | None = None
         self.audit = None
         self.host = None
-        #: Out-of-core storage engine (``storage_backend != "memory"``).
+        #: Out-of-core storage engine (``storage_backend="sqlite"``).
         self.engine = None
         self.engine_path: Optional[str] = None
         self.backend = _ShardBackend(self)
@@ -108,9 +107,13 @@ class ShardCluster:
       ``wal_factory(wal_path)`` attached (the stress harness and the
       shard-scaling benchmark, which inject their own log subclasses);
     * ``durable=True`` -- each unit is rebuilt by
-      :func:`~repro.server.wal.recover_server` from its checkpoint image
-      plus WAL (the ``serve --shards N --durable`` path);
+      :func:`~repro.server.wal.recover_server` from its SQLite engine
+      plus WAL (the ``serve --shards N --durable`` path; requires
+      ``storage_backend="sqlite"``);
     * neither -- plain in-memory servers.
+
+    ``storage_backend="sqlite"`` gives every unit its own ``state.db``
+    and files page in on demand; ``"memory"`` keeps them resident.
 
     ``fresh=True`` deletes any existing per-shard state files first
     (stress runs and tests that must not inherit a previous run's log).
@@ -129,7 +132,8 @@ class ShardCluster:
                  fresh: bool = False,
                  storage_backend: str = "memory",
                  cache_nodes: int = 65536) -> None:
-        from repro.server.engine import BACKENDS, engine_path, make_engine
+        from repro.server.engine import (BACKENDS, check_state_dir,
+                                         engine_path, make_engine)
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if transport not in TRANSPORTS:
@@ -139,6 +143,9 @@ class ShardCluster:
                              "mutually exclusive")
         if storage_backend not in BACKENDS:
             raise ValueError(f"unknown storage backend {storage_backend!r}")
+        if durable and storage_backend != "sqlite":
+            raise ValueError("durable shards need storage_backend='sqlite' "
+                             "(the engine is their only durable state)")
         self.params = params if params is not None else Params()
         self.transport = transport
         self.group_commit = group_commit
@@ -160,47 +167,46 @@ class ShardCluster:
             directory = os.path.join(data_dir, f"shard-{shard_id}")
             os.makedirs(directory, exist_ok=True)
             unit = ShardUnit(shard_id, directory)
-            if storage_backend != "memory":
-                unit.engine_path = engine_path(directory, storage_backend)
+            if storage_backend == "sqlite":
+                unit.engine_path = engine_path(directory)
             if fresh:
                 self._wipe(unit)
-            if os.path.exists(unit.image_path) or \
-                    os.path.exists(unit.wal_path) or \
+            if durable:
+                check_state_dir(directory, unit.wal_path)
+            if os.path.exists(unit.wal_path) or \
                     (unit.engine_path is not None
                      and os.path.exists(unit.engine_path)):
                 self.had_state = True
             if unit.engine_path is not None:
                 unit.engine = make_engine(storage_backend, unit.engine_path)
+            if audit:
+                from repro.obs.audit import AuditLog
+                unit.audit = AuditLog(unit.audit_path, sync=audit_sync)
             if durable:
                 unit.server = recover_server(
-                    unit.image_path, unit.wal_path, self.params,
-                    group_commit=group_commit, engine=unit.engine,
-                    cache_nodes=cache_nodes)
+                    unit.wal_path, self.params, engine=unit.engine,
+                    group_commit=group_commit, cache_nodes=cache_nodes,
+                    audit=unit.audit)
                 unit.wal = unit.server.wal
             else:
-                unit.server = CloudServer(self.params)
+                unit.server = CloudServer(self.params, audit=unit.audit)
                 if unit.engine is not None:
                     unit.server.attach_engine(unit.engine,
                                               cache_nodes=cache_nodes)
                 if wal_factory is not None:
                     unit.wal = wal_factory(unit.wal_path)
                     unit.server.attach_wal(unit.wal)
-            if audit:
-                from repro.obs.audit import AuditLog
-                unit.audit = AuditLog(unit.audit_path, sync=audit_sync)
-                unit.server.attach_audit(unit.audit)
             self.units.append(unit)
 
     @staticmethod
     def _wipe(unit: ShardUnit) -> None:
         from repro.obs import audit as audit_mod
-        stale_paths = [unit.wal_path, unit.image_path, unit.audit_path,
+        stale_paths = [unit.wal_path, unit.audit_path,
                        audit_mod.head_path_for(unit.audit_path)]
         if unit.engine_path is not None:
-            # SQLite leaves journal/WAL sidecars next to the database;
-            # the log engine leaves a compaction temp on a crash.
+            # SQLite leaves journal/WAL sidecars next to the database.
             stale_paths.extend(unit.engine_path + suffix for suffix in
-                               ("", ".tmp", "-journal", "-wal", "-shm"))
+                               ("", "-journal", "-wal", "-shm"))
         for stale in stale_paths:
             if os.path.exists(stale):
                 os.unlink(stale)
@@ -310,21 +316,11 @@ class ShardCluster:
             placed += 1
         return placed
 
-    def checkpoint(self) -> None:
-        """Checkpoint every shard (image write + WAL reset, per shard).
-
-        Engine-backed shards checkpoint incrementally: dirty state
-        flushes to the engine and the WAL is compacted (see
-        :meth:`CloudServer.compact_storage`).
-        """
-        for unit in self.units:
-            if unit.wal is not None:
-                checkpoint(unit.server, unit.image_path)
-
     def compact(self) -> list[dict]:
-        """Flush + WAL-compact every engine-backed shard; per-shard stats.
+        """Checkpoint every engine-backed shard; per-shard stats.
 
-        Safe against live traffic: each shard's ``compact_storage``
+        Each shard's :meth:`CloudServer.compact_storage` flushes its dirty
+        state to the engine and truncates its WAL.  Safe against live traffic: each shard's ``compact_storage``
         holds that shard's registry lock exclusively, so in-flight
         requests on other shards are unaffected and requests on the
         compacting shard simply queue.
@@ -342,7 +338,7 @@ class ShardCluster:
         serving this shard picks up the recovered instance immediately;
         other shards are untouched.  An engine-backed shard reopens its
         engine file; recovery replays only the records since its last
-        compaction.
+        compaction, auditing any the shard's chain does not yet hold.
         """
         unit = self.units[shard_id]
         if unit.wal is not None:
@@ -351,14 +347,12 @@ class ShardCluster:
             unit.engine.close()
             from repro.server.engine import make_engine
             unit.engine = make_engine(self.storage_backend, unit.engine_path)
-        unit.server = recover_server(unit.image_path, unit.wal_path,
-                                     self.params,
-                                     group_commit=self.group_commit,
+        unit.server = recover_server(unit.wal_path, self.params,
                                      engine=unit.engine,
-                                     cache_nodes=self.cache_nodes)
+                                     group_commit=self.group_commit,
+                                     cache_nodes=self.cache_nodes,
+                                     audit=unit.audit)
         unit.wal = unit.server.wal
-        if unit.audit is not None:
-            unit.server.attach_audit(unit.audit)
         return unit.server
 
     # ------------------------------------------------------------------

@@ -24,7 +24,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.errors import ReproError, SimulatedCrash, UnknownItemError
+from repro.core.errors import (ProtocolError, ReproError, SimulatedCrash,
+                               UnknownItemError)
 from repro.core.params import Params
 from repro.core.tree import LINK, ModulationTree, WriteLog
 from repro.obs import runtime as obs
@@ -82,8 +83,8 @@ class CloudServer:
     state that recovery (:func:`~repro.server.wal.recover_server`)
     resolves to all-or-nothing.  Mutating requests with a non-zero
     ``request_id`` are idempotent: the reply is cached (and persisted in
-    checkpoint images), so retransmissions are answered without being
-    applied twice.
+    the storage engine by :meth:`compact_storage`), so retransmissions
+    are answered without being applied twice.
     """
 
     #: Bound on the idempotency cache (oldest replies evicted first).
@@ -126,8 +127,8 @@ class CloudServer:
         """(Re)create the concurrency-control state.
 
         Separated from ``__init__`` because lock objects cannot be
-        pickled: checkpoint images and the CLI's vault snapshot drop them
-        and rebuild fresh (necessarily uncontended) locks on load.
+        pickled: the CLI's vault snapshot drops them and rebuilds fresh
+        (necessarily uncontended) locks on load.
         """
         #: Guards the file table: shared by per-file requests, exclusive
         #: for outsourcing and whole-file deletion.
@@ -146,7 +147,7 @@ class CloudServer:
 
     #: Attributes recreated by :meth:`_init_locks` instead of pickled
     #: (the view cache holds replies with memoized encodings -- dropping
-    #: it keeps checkpoint images lean and is always safe).
+    #: it keeps pickle snapshots lean and is always safe).
     _UNPICKLED = ("_registry_lock", "_file_locks", "_applied_mutex",
                   "_view_caches", "_materialise_lock")
 
@@ -187,6 +188,11 @@ class CloudServer:
         them.  The engine's persisted replay table is restored so
         retried commits stay exactly-once across restarts.
 
+        An engine whose trees were written under another modulator width
+        is refused with :class:`ProtocolError` before anything is read
+        from it (replaying this server's commits into it would XOR
+        deltas of the wrong width into stored modulators).
+
         Engine-materialised files run without a duplicate-modulator
         registry (building one would read the whole tree, defeating
         lazy paging); with random modulators a collision is a ~2^-160
@@ -194,6 +200,11 @@ class CloudServer:
         restart.  ``docs/STORAGE.md`` records the tradeoff.
         """
         from repro.server.paging import NodeCache
+        width = engine.modulator_width()
+        if width is not None and width != self.params.modulator_size:
+            raise ProtocolError(
+                f"storage engine holds {width}-byte modulators, parameters "
+                f"expect {self.params.modulator_size}")
         self.engine = engine
         self._node_cache = NodeCache(cache_nodes)
         entries = [(request_id, msg.decode_message(self.ctx, blob))
@@ -229,7 +240,7 @@ class CloudServer:
             raise SimulatedCrash(f"server crashed at {point}")
 
     def replay_cache_entries(self) -> list[tuple[int, msg.Message]]:
-        """Idempotency cache in eviction order (persistence peer API)."""
+        """Idempotency cache in eviction order (persisted by compaction)."""
         with self._applied_mutex:
             return list(self._applied.items())
 
@@ -993,17 +1004,17 @@ class CloudServer:
         return msg.Ack()
 
     # ------------------------------------------------------------------
-    # Incremental checkpointing (storage engine + WAL compaction)
+    # Checkpointing (storage engine flush + WAL compaction)
     # ------------------------------------------------------------------
 
     def compact_storage(self) -> dict:
         """Flush dirty state to the engine, then compact the WAL.
 
-        The engine-backed replacement for whole-image checkpointing:
-        only state touched since the last compaction is written (dirty
-        overlays of paged files; full conversion for files outsourced
-        while running), followed by the persisted replay table, one
-        engine ``flush`` (the durability barrier), and a WAL
+        This is the server's checkpoint: only state touched since the
+        last compaction is written (dirty overlays of paged files; full
+        conversion for files outsourced while running), followed by the
+        persisted replay table and modulator width, one engine ``flush``
+        (the durability barrier), and a WAL
         ``compact`` that truncates replayed history behind a snapshot
         marker.
 
@@ -1033,6 +1044,7 @@ class CloudServer:
             self.engine.set_replay_entries(
                 (request_id, msg.encode_message(self.ctx, reply))
                 for request_id, reply in self.replay_cache_entries())
+            self.engine.set_modulator_width(self.params.modulator_size)
             self.engine.flush()
             self._fire_crash(CRASH_POINT_AFTER_FLUSH)
             if self.wal is not None:
@@ -1065,21 +1077,24 @@ class CloudServer:
             return
         # A file outsourced (or installed) while running: write it out
         # wholesale and swap in the paged representation, keeping the
-        # version, registry, and commit replay cache.  drop_file first
-        # clears any stale rows from a previous incarnation of the id.
+        # version, registry, and commit replay cache.  Every ciphertext is
+        # read before anything is staged: a mapped item without one is
+        # corruption, and raising here leaves the engine untouched rather
+        # than flushing a silently smaller file.  drop_file then clears
+        # any stale rows from a previous incarnation of the id.
         from repro.server.engine import KIND_LEAF, KIND_LINK
         from repro.server.paging import PagedCiphertextStore, PagedItemMap
+        item_ids = tree.item_ids()
+        ciphertexts = [(item_id, state.ciphertexts.get(item_id))
+                       for item_id in item_ids]
         self.engine.drop_file(file_id)
         self._node_cache.purge_file(file_id)
         self.engine.write_nodes(file_id, (
             (KIND_LINK if kind == LINK else KIND_LEAF, slot, value)
             for kind, slot, value in tree.iter_modulators()))
-        item_ids = tree.item_ids()
         self.engine.write_items(file_id, [
             (item_id, tree.slot_of_item(item_id)) for item_id in item_ids])
-        self.engine.write_ciphertexts(file_id, [
-            (item_id, state.ciphertexts.get(item_id))
-            for item_id in item_ids])
+        self.engine.write_ciphertexts(file_id, ciphertexts)
         records = tree.modulator_count() + 2 * len(item_ids)
         self.engine.set_meta(FileMeta(file_id, state.version,
                                       tree.leaf_count))

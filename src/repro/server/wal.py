@@ -10,14 +10,19 @@ so every mutating request is made durable *before* it is applied:
 2. the request is applied to the in-memory state;
 3. the reply is sent.
 
-Recovery (:func:`recover_server`) loads the last checkpoint image written
-by :func:`repro.server.persistence.save_server` and re-executes every
-logged request through the ordinary message handlers.  Because mutating
-requests carry idempotent ``request_id``\\ s, a record that is also
-reflected in the checkpoint (crash between checkpoint write and log
-reset) is answered from the server's replay cache instead of being
-applied twice, and a client retrying an un-acknowledged commit after the
-restart converges to exactly-once application.
+The log and the SQLite storage engine (:mod:`repro.server.engine`,
+``state.db``) are the server's whole durable state.  A checkpoint is
+:meth:`~repro.server.server.CloudServer.compact_storage`: dirty state
+flushes into the engine, then :meth:`CommitLog.compact` truncates the
+log behind a snapshot marker.  Recovery (:func:`recover_server`) opens
+the engine and re-executes every logged request through the ordinary
+message handlers.  Because mutating requests carry idempotent
+``request_id``\\ s, a record that is also reflected in the engine (crash
+between the engine flush and the log truncate) is answered from the
+persisted replay table instead of being applied twice, and a client
+retrying an un-acknowledged commit after the restart converges to
+exactly-once application.  Without an engine, recovery replays the
+whole log into an empty server.
 
 Log file format (all integers big-endian)::
 
@@ -40,8 +45,8 @@ Two failure modes beyond the torn tail are handled explicitly:
   append raises) rather than acknowledge commits it may lose.
 * **Lost directory entry**: file data is fsync'd but a freshly created
   file's *name* lives in the directory, which has its own durability.
-  Log creation and reset fsync the parent directory (POSIX only; no-op
-  elsewhere) so a crash cannot forget the log file itself.
+  Log creation and compaction fsync the parent directory (POSIX only;
+  no-op elsewhere) so a crash cannot forget the log file itself.
 
 Group commit
 ------------
@@ -86,9 +91,6 @@ _RECORD = struct.Struct(">II")
 #: replaying garbage.
 _MARKER_FLAG = 0x80000000
 
-#: Default number of WAL records after which callers should checkpoint.
-CHECKPOINT_INTERVAL = 256
-
 
 def fsync_directory(path: str) -> None:
     """Best-effort fsync of ``path``'s parent directory.
@@ -130,8 +132,7 @@ class CommitLog:
 
     Opening scans the file, validates every record, and truncates a torn
     tail.  ``append`` is durable on return (``flush`` + ``fsync``);
-    ``reset`` empties the log after its effects have been checkpointed
-    into the state image.
+    ``compact`` truncates it once the storage engine holds its effects.
 
     ``group_commit=True`` coalesces concurrent appends into one
     write+fsync (see the module docstring); ``group_max_batch`` bounds
@@ -157,8 +158,7 @@ class CommitLog:
         self.snapshot_marker: bytes | None = None
         self._records: list[bytes] = self._scan()
         self._handle = open(path, "ab")
-        #: Records appended since the last checkpoint/open, for callers
-        #: implementing a checkpoint-every-N policy.
+        #: Records appended since the last compaction/open.
         self.appended = 0
         #: Serialises the write+fsync of one record (or one group-commit
         #: batch): appends arriving from different per-file handler
@@ -448,18 +448,6 @@ class CommitLog:
                                f"committer thread is dead")
         return True, f"durable through {self._durable_size} bytes"
 
-    def reset(self) -> None:
-        """Empty the log (call only after checkpointing its effects)."""
-        with self._lock:
-            self._handle.close()
-            self._write_header()
-            fsync_directory(self.path)
-            self._handle = open(self.path, "ab")
-            self._records = []
-            self.appended = 0
-            self._durable_size = self._handle.tell()
-            self._failed = False
-
     def compact(self, marker: bytes = b"") -> None:
         """Truncate replayed history behind an fsync'd snapshot marker.
 
@@ -469,8 +457,7 @@ class CommitLog:
         record, skipped by replay).  The swap is a write-temp +
         ``os.replace`` + directory fsync, so a crash at any instruction
         leaves either the full old log or the compacted one -- never a
-        torn in-between -- the same atomicity the checkpoint image
-        relies on.  Callers must guarantee no append is in flight
+        torn in-between.  Callers must guarantee no append is in flight
         (the server holds its registry lock exclusively).
         """
         if len(marker) >= _MARKER_FLAG:
@@ -518,77 +505,51 @@ class CommitLog:
         self.close()
 
 
-def checkpoint(server, image_path: str) -> None:
-    """Fold the server's state into the image and reset its WAL.
-
-    The image replace is atomic and fsync'd, so a crash at any point
-    leaves either (old image + full WAL) or (new image + WAL), both of
-    which :func:`recover_server` resolves to the same state.
-
-    An engine-backed server checkpoints *incrementally* instead: dirty
-    state flushes to the engine and the WAL is compacted; no image is
-    written (``image_path`` is ignored).
-    """
-    if getattr(server, "engine", None) is not None:
-        server.compact_storage()
-        return
-    from repro.server.persistence import save_server
-    if not obs.enabled:
-        save_server(server, image_path)
-        if server.wal is not None:
-            server.wal.reset()
-        return
-    from repro.obs import instruments as ins
-    with span("server.checkpoint", image=image_path):
-        start = time.perf_counter()
-        save_server(server, image_path)
-        if server.wal is not None:
-            server.wal.reset()
-        ins.CHECKPOINT_SECONDS.observe(time.perf_counter() - start)
-        ins.CHECKPOINTS.inc()
-
-
-def recover_server(image_path: str | None, wal_path: str, params=None, *,
-                   group_commit: bool = False, engine=None,
-                   cache_nodes: int = 65536):
-    """Rebuild a server from its durable state plus commit log.
+def recover_server(wal_path: str, params=None, *, engine=None,
+                   group_commit: bool = False, cache_nodes: int = 65536,
+                   audit=None):
+    """Rebuild a server from its storage engine plus commit log.
 
     With ``engine`` given, the server pages its files from the storage
     engine on demand -- recovery cost is O(records since the last
-    compaction), not O(total state) -- and ``image_path`` may be
-    ``None``.  Otherwise, a missing image means recovery starts from an
-    empty server (the WAL then holds the full history since bootstrap).
+    compaction), not O(total state).  With ``engine=None`` recovery
+    starts from an empty server and the WAL must hold the full history.
     Every validated WAL record is re-executed through the normal
     handlers *before* the log is attached for new appends, so replay
     never re-logs.  ``group_commit`` selects the coalescing append path
     for the re-attached log.
+
+    ``audit`` (an :class:`~repro.obs.audit.AuditLog`) is attached for
+    good afterwards, and during replay it records every WAL record the
+    chain does not already hold: a commit that was logged but crashed
+    before its audit append (``after-apply``) or before it applied at
+    all (``before-apply``) is applied by replay, so it must reach the
+    evidence trail too.  See :func:`_unaudited`.
 
     The recovery breakdown (state load vs WAL replay) lands in the
     ``repro_server_cold_start_seconds`` /
     ``repro_recovery_*_seconds`` gauges and a ``server.recovered``
     event, so the compaction win shows up in ``/statusz``.
     """
-    from repro.server.persistence import load_server
     from repro.server.server import CloudServer
 
-    with span("server.recover", image=image_path, wal=wal_path):
+    with span("server.recover", wal=wal_path):
         start = time.perf_counter()
+        server = CloudServer(params)
         if engine is not None:
-            server = CloudServer(params)
             server.attach_engine(engine, cache_nodes=cache_nodes)
-        elif image_path is not None and os.path.exists(image_path):
-            server = load_server(image_path, params)
-        else:
-            server = CloudServer(params)
         load_seconds = time.perf_counter() - start
         log = CommitLog(wal_path, group_commit=group_commit)
-        replayed = 0
+        records = log.records()
+        unaudited = (_unaudited(server.ctx, records, audit)
+                     if audit is not None else ())
         replay_start = time.perf_counter()
         with span("server.recover.replay"):
-            for record in log.records():
+            for index, record in enumerate(records):
+                server.audit = audit if index in unaudited else None
                 server.handle_bytes(record)
-                replayed += 1
         replay_seconds = time.perf_counter() - replay_start
+        replayed = len(records)
         if obs.enabled:
             from repro.obs import instruments as ins
             ins.WAL_REPLAYED.inc(replayed)
@@ -597,14 +558,41 @@ def recover_server(image_path: str | None, wal_path: str, params=None, *,
             ins.RECOVERY_CHECKPOINT_SECONDS.set(load_seconds)
             ins.RECOVERY_REPLAY_SECONDS.set(replay_seconds)
             log_event("server.recovered", replayed_records=replayed,
+                      audited_records=len(unaudited),
                       load_seconds=round(load_seconds, 6),
                       replay_seconds=round(replay_seconds, 6),
                       engine=engine is not None)
         server.last_recovery = {
             "replayed_records": replayed,
+            "audited_records": len(unaudited),
             "load_seconds": load_seconds,
             "replay_seconds": replay_seconds,
             "engine": engine is not None,
         }
+        server.attach_audit(audit)
         server.attach_wal(log)
     return server
+
+
+def _unaudited(ctx, records: list[bytes], audit) -> set[int]:
+    """Indices of the WAL ``records`` the audit chain does not hold.
+
+    The WAL holds the commits since the last compaction; the chain holds
+    every audited commit ever.  So a record is already on the chain iff
+    its ``request_id`` is among the chain's last ``len(records)``
+    entries.  Comparing against that tail, not just the chain's last
+    record, keeps commits on different files whose WAL and audit
+    appends interleaved in opposite orders from being recorded twice.
+    A WAL with no record on the chain is recorded whole.
+    """
+    from collections import deque
+
+    from repro.obs.audit import iter_records
+    from repro.protocol import messages as msg
+    if not records:
+        return set()
+    on_chain = {entry.get("request_id") for entry in
+                deque(iter_records(audit.path), maxlen=len(records))}
+    return {index for index, record in enumerate(records)
+            if getattr(msg.decode_message(ctx, record), "request_id", 0)
+            not in on_chain}

@@ -49,7 +49,7 @@ invariants:
    compaction truncated the log) -- the evidence trail matches what was
    actually committed.
 
-With ``backend`` set to ``log`` or ``sqlite``, every shard pages its
+With ``backend`` set to ``sqlite``, every shard pages its
 files from a storage engine and a compactor thread races
 ``compact_storage`` (flush + WAL truncation) against the workers.
 
@@ -120,7 +120,7 @@ class StressConfig:
     #: byte-exact reads against the model) must hold across any on/off
     #: interleaving.
     toggle_caches: bool = False
-    #: Storage engine behind every shard.  Non-memory backends run a
+    #: Storage engine behind every shard.  The sqlite backend runs a
     #: compactor thread that repeatedly flushes dirty state and
     #: truncates each shard's WAL *while the workers mutate*, so the
     #: invariants below also prove compaction is correctness-invisible
@@ -130,7 +130,7 @@ class StressConfig:
     def __post_init__(self) -> None:
         if self.transport not in ("loopback", "tcp", "async"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.backend not in ("memory", "log", "sqlite"):
+        if self.backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.workers < 1 or self.ops_per_worker < 1:
             raise ValueError("workers and ops_per_worker must be >= 1")
@@ -646,10 +646,9 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
             shutil.copy(unit.wal_path, wal_copy)
             shutil.copy(unit.engine_path, engine_copy)
             tmp_engine = make_engine(cluster.storage_backend, engine_copy)
-            recovered = recover_server(None, wal_copy, engine=tmp_engine)
+            recovered = recover_server(wal_copy, engine=tmp_engine)
         else:
-            recovered = recover_server(unit.wal_path + ".noimage",
-                                       unit.wal_path)
+            recovered = recover_server(unit.wal_path)
         recovered_live = set(recovered.file_ids())
         if recovered_live != shard_live:
             raise InvariantViolation(

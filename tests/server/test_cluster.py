@@ -28,7 +28,12 @@ def test_rejects_bad_configuration(tmp_path):
         ShardCluster(2, transport="carrier-pigeon")
     with pytest.raises(ValueError):
         ShardCluster(2, data_dir=str(tmp_path), durable=True,
-                     wal_factory=CommitLog)
+                     storage_backend="sqlite", wal_factory=CommitLog)
+    with pytest.raises(ValueError):
+        # Resident shards have no durable state to recover from.
+        ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    with pytest.raises(ValueError):
+        ShardCluster(2, data_dir=str(tmp_path), storage_backend="log")
 
 
 def test_loopback_cluster_places_files_on_ring_shards(tmp_path):
@@ -88,15 +93,17 @@ def test_per_shard_health_probes_gate_readiness(tmp_path):
 
 
 def test_durable_cluster_recovers_each_shard_independently(tmp_path):
-    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True,
+                           storage_backend="sqlite")
     fs = _routed_fs(cluster)
     fs.create_file("keep.txt", [b"one", b"two"])
     file_ids = {unit.shard_id: set(unit.server.file_ids())
                 for unit in cluster.units}
-    cluster.checkpoint()
+    cluster.compact()
     cluster.stop()
 
-    reopened = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    reopened = ShardCluster(2, data_dir=str(tmp_path), durable=True,
+                            storage_backend="sqlite")
     try:
         assert reopened.had_state
         for unit in reopened.units:
@@ -106,12 +113,13 @@ def test_durable_cluster_recovers_each_shard_independently(tmp_path):
 
 
 def test_fresh_wipes_previous_state(tmp_path):
-    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True,
+                           storage_backend="sqlite")
     _routed_fs(cluster).create_file("stale.txt", [b"x"])
-    cluster.checkpoint()
+    cluster.compact()
     cluster.stop()
     wiped = ShardCluster(2, data_dir=str(tmp_path), durable=True,
-                         fresh=True)
+                         storage_backend="sqlite", fresh=True)
     try:
         assert not wiped.had_state
         assert all(unit.server.file_count() == 0 for unit in wiped.units)

@@ -7,19 +7,34 @@ replays the client's retransmission -- the same encoded bytes, same
 request id.  The pinned property is the one the paper's assurance
 argument needs: after recovery the operation is either fully applied or
 fully absent, and the retry converges to applied *exactly once*.
+
+Durable state is the SQLite engine (``state.db``) plus the WAL; a
+checkpoint is ``compact_storage``.  With an audit chain attached, the
+evidence trail must also survive every crash point: the chain's
+history equals the WAL's, so a commit that recovery applies is never
+missing from the record (nor recorded twice).
 """
+
+import os
+import shutil
 
 import pytest
 
 from repro.client.client import AssuredDeletionClient
-from repro.core.errors import UnknownItemError
+from repro.core.errors import SimulatedCrash, UnknownItemError
 from repro.crypto.rng import DeterministicRandom
+from repro.obs.audit import AuditLog, verify_log
 from repro.protocol import messages as msg
+from repro.protocol.channel import LoopbackChannel
 from repro.protocol.faults import (CRASH_AFTER_APPLY, CRASH_BEFORE_APPLY,
                                    DROP_RESPONSE, NONE, ChannelError,
                                    FaultInjectingChannel)
-from repro.server.server import CloudServer
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.cluster import ShardCluster
+from repro.server.engine import make_engine
+from repro.server.server import (CRASH_POINT_AFTER_APPLY,
+                                 CRASH_POINT_AFTER_FLUSH,
+                                 CRASH_POINT_BEFORE_FLUSH, CloudServer)
+from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
@@ -27,32 +42,73 @@ pytestmark = pytest.mark.slow
 CRASH_POINTS = [CRASH_BEFORE_APPLY, CRASH_AFTER_APPLY]
 
 
-class Harness:
-    """One durable server + client pair with deterministic randomness."""
+def _kill(server):
+    """Process death: handles drop, staged engine writes roll back."""
+    server.wal.close()
+    if server.engine is not None:
+        server.engine._conn.rollback()
+        server.engine._conn.close()
 
-    def __init__(self, directory, seed="crash", n=6, group_commit=False):
+
+def _history_matches(wal_path, audit_path, ctx):
+    """The audit chain verifies and records exactly the WAL's commits."""
+    with CommitLog(wal_path) as log:
+        wal_history = [(type(request).__name__, request.request_id)
+                       for request in (msg.decode_message(ctx, record)
+                                       for record in log.records())]
+    audit_history = [(record["op"], record["request_id"])
+                     for record in verify_log(audit_path)]
+    assert audit_history == wal_history
+    return audit_history
+
+
+class Harness:
+    """One durable server + client pair with deterministic randomness.
+
+    ``checkpoint`` compacts right after the first outsource (the WAL then
+    holds only later commits); ``audit`` attaches an audit chain.
+    """
+
+    def __init__(self, directory, seed="crash", n=6, group_commit=False,
+                 checkpoint=True, audit=False):
         directory.mkdir(exist_ok=True)
-        self.image = str(directory / "server.img")
+        self.engine_path = str(directory / "state.db")
         self.wal_path = str(directory / "server.wal")
-        self.server = CloudServer(wal=CommitLog(self.wal_path,
-                                                group_commit=group_commit))
+        self.audit_path = str(directory / "audit.log")
+        self.group_commit = group_commit
+        self.audit = (AuditLog(self.audit_path, sync="off")
+                      if audit else None)
+        self.server = CloudServer(
+            wal=CommitLog(self.wal_path, group_commit=group_commit),
+            engine=make_engine("sqlite", self.engine_path),
+            audit=self.audit)
         self.channel = FaultInjectingChannel(self.server, [])
         self.client = AssuredDeletionClient(self.channel,
                                             rng=DeterministicRandom(seed))
         self.key = self.client.outsource(
             1, [b"item-%d" % i for i in range(n)])
         self.ids = self.client.item_ids_of(n)
-        checkpoint(self.server, self.image)
+        if checkpoint:
+            self.server.compact_storage()
 
     def schedule(self, faults):
         self.channel._schedule = iter(faults)
 
     def restart(self):
         """Simulate the kill -9: only the on-disk state survives."""
-        self.server.wal.close()
-        self.server = recover_server(self.image, self.wal_path)
+        _kill(self.server)
+        if self.audit is not None:
+            self.audit.close()
+            self.audit = AuditLog(self.audit_path, sync="off")
+        self.server = recover_server(
+            self.wal_path, engine=make_engine("sqlite", self.engine_path),
+            audit=self.audit)
         self.channel._server = self.server  # the client re-dials
         return self.server
+
+    def check_audit(self):
+        return _history_matches(self.wal_path, self.audit_path,
+                                self.server.ctx)
 
 
 # Each operation, with the fault-schedule prefix covering its
@@ -186,7 +242,7 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
     with pytest.raises(ChannelError):
         h.client.delete(1, h.key, h.ids[1])
     commit_bytes = h.channel.last_request_bytes
-    h.server.wal.close()
+    _kill(h.server)
 
     wal_bytes = (tmp_path / "origin" / "server.wal").read_bytes()
     record_start = 6  # header: magic + u16 version
@@ -197,7 +253,9 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
         trial.mkdir()
         wal_copy = trial / "server.wal"
         wal_copy.write_bytes(wal_bytes[:cut])
-        recovered = recover_server(h.image, str(wal_copy))
+        shutil.copy(h.engine_path, trial / "state.db")
+        engine = make_engine("sqlite", str(trial / "state.db"))
+        recovered = recover_server(str(wal_copy), engine=engine)
         torn = cut < len(wal_bytes)
         if torn:
             assert snapshot_file(recovered, 1) == baseline  # fully absent
@@ -213,6 +271,7 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
         assert final != baseline
         assert recovered.file_state(1).version == 1
         recovered.wal.close()
+        engine.close()
 
 
 @pytest.mark.parametrize("group_commit", [False, True],
@@ -234,15 +293,16 @@ def test_append_failure_then_crash_keeps_acknowledged_commits(tmp_path,
 
     directory = tmp_path / "flaky"
     directory.mkdir()
-    image = str(directory / "server.img")
+    engine_path = str(directory / "state.db")
     wal_path = str(directory / "server.wal")
     server = CloudServer(wal=_FailingSyncLog(wal_path,
-                                             group_commit=group_commit))
+                                             group_commit=group_commit),
+                         engine=make_engine("sqlite", engine_path))
     client = AssuredDeletionClient(FaultInjectingChannel(server, []),
                                    rng=DeterministicRandom("flaky"))
     key = client.outsource(1, [b"item-%d" % i for i in range(4)])
     ids = client.item_ids_of(4)
-    checkpoint(server, image)
+    server.compact_storage()
 
     client.modify(1, key, ids[0], b"acknowledged-1")
     failures["armed"] = True
@@ -250,27 +310,29 @@ def test_append_failure_then_crash_keeps_acknowledged_commits(tmp_path,
         client.modify(1, key, ids[1], b"never-acknowledged")
     client.modify(1, key, ids[2], b"acknowledged-2")  # after the repair
     expected = snapshot_file(server, 1)
-    server.wal.close()
+    _kill(server)
 
-    recovered = recover_server(image, wal_path)
+    engine = make_engine("sqlite", engine_path)
+    recovered = recover_server(wal_path, engine=engine)
     assert snapshot_file(recovered, 1) == expected
     recovered.wal.close()
+    engine.close()
 
 
-def test_missing_wal_directory_entry_recovers_from_image(tmp_path):
+def test_missing_wal_directory_entry_recovers_from_engine(tmp_path):
     """The lost-directory-entry crash: the WAL file's name never became
     durable and the file is simply gone after restart.  Recovery must
-    fall back to the checkpoint image, recreate the log (and this time
-    fsync the directory), and keep serving durably."""
+    fall back to the engine's last checkpoint, recreate the log (and
+    this time fsync the directory), and keep serving durably."""
     h = Harness(tmp_path)
     h.client.modify(1, h.key, h.ids[0], b"checkpointed")
-    checkpoint(h.server, h.image)
+    h.server.compact_storage()
     expected = snapshot_file(h.server, 1)
-    h.server.wal.close()
-    import os
+    _kill(h.server)
     os.unlink(h.wal_path)  # the directory entry the crash forgot
 
-    recovered = recover_server(h.image, h.wal_path)
+    engine = make_engine("sqlite", h.engine_path)
+    recovered = recover_server(h.wal_path, engine=engine)
     assert os.path.exists(h.wal_path)  # recreated, header only
     assert snapshot_file(recovered, 1) == expected
     # And the recreated log keeps accepting durable commits.
@@ -279,26 +341,28 @@ def test_missing_wal_directory_entry_recovers_from_image(tmp_path):
                                    keystore=h.client.keystore,
                                    store_keys=False)
     client.modify(1, h.key, h.ids[1], b"after-recreate")
-    recovered.wal.close()
-    again = recover_server(h.image, h.wal_path)
-    assert snapshot_file(again, 1) == snapshot_file(recovered, 1)
+    expected = snapshot_file(recovered, 1)
+    _kill(recovered)
+    engine = make_engine("sqlite", h.engine_path)
+    again = recover_server(h.wal_path, engine=engine)
+    assert snapshot_file(again, 1) == expected
     again.wal.close()
+    engine.close()
 
 
 def test_retry_after_checkpoint_answers_from_persisted_cache(tmp_path):
-    """The Ack is lost, the server checkpoints (WAL reset!) and crashes.
-    The only thing that can answer the client's retry correctly is the
-    replay cache persisted inside the image -- without it the retry
-    would bounce off the version check as stale."""
+    """The Ack is lost, the server checkpoints (WAL truncated!) and
+    crashes.  The only thing that can answer the client's retry
+    correctly is the replay table persisted in the engine -- without it
+    the retry would bounce off the version check as stale."""
     h = Harness(tmp_path)
     h.schedule([NONE, DROP_RESPONSE])
     with pytest.raises(ChannelError):
         h.client.delete(1, h.key, h.ids[3])
-    checkpoint(h.server, h.image)
+    h.server.compact_storage()
 
     h.restart()
-    with open(h.wal_path, "rb") as handle:
-        assert len(handle.read()) == 6  # nothing left to replay
+    assert h.server.last_recovery["replayed_records"] == 0
     new_key = h.client.resume_delete(1, h.ids[3])
     assert h.server.file_state(1).version == 1  # answered, not re-applied
     assert h.client.access(1, new_key, h.ids[0]) == b"item-0"
@@ -328,3 +392,80 @@ def test_crash_without_wal_stays_consistent_in_memory():
     key = client.resume_delete(1, ids[2])
     assert server.file_state(1).tree.leaf_count == 2  # exactly once
     assert client.access(1, key, ids[0]) == b"a"
+
+
+# ---------------------------------------------------------------------
+# The audit chain across crashes: audit history == WAL history
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("crash", CRASH_POINTS)
+@pytest.mark.parametrize("name,op,prefix,file_id", OPS,
+                         ids=[name for name, *_ in OPS])
+def test_audit_history_equals_wal_history_after_commit_crash(
+        tmp_path, name, op, prefix, file_id, crash):
+    """A commit logged but not audited before the crash (it died before
+    applying, or after applying but before its audit append) is applied
+    by replay, so recovery must put it on the chain; the client's retry
+    is then answered from the replay cache and records nothing more."""
+    h = Harness(tmp_path, checkpoint=False, audit=True)
+    h.schedule(prefix + [crash])
+    with pytest.raises(ChannelError):
+        op(h)
+    commit_bytes = h.channel.last_request_bytes
+
+    h.restart()
+    assert h.server.last_recovery["audited_records"] == 1
+    h.server.handle_bytes(commit_bytes)  # the client's retry
+    history = h.check_audit()
+    assert history[-1][0] == type(
+        msg.decode_message(h.server.ctx, commit_bytes)).__name__
+
+
+@pytest.mark.parametrize("point", [CRASH_POINT_BEFORE_FLUSH,
+                                   CRASH_POINT_AFTER_FLUSH])
+def test_audit_history_equals_wal_history_after_compaction_crash(
+        tmp_path, point):
+    """Both compaction seams leave the WAL untruncated and every record
+    already on the chain: replay must record nothing twice, and the
+    chain keeps matching as the recovered server takes new commits."""
+    h = Harness(tmp_path, checkpoint=False, audit=True)
+    h.key = h.client.delete(1, h.key, h.ids[1])
+    h.server.arm_crash(point)
+    with pytest.raises(SimulatedCrash):
+        h.server.compact_storage()
+
+    h.restart()
+    assert h.server.last_recovery["replayed_records"] == 2
+    assert h.server.last_recovery["audited_records"] == 0
+    h.check_audit()
+    h.client.modify(1, h.key, h.ids[0], b"after-restart")
+    assert len(h.check_audit()) == 3
+
+
+def test_audit_history_equals_wal_history_on_a_recovered_shard(tmp_path):
+    """``ShardCluster.recover_shard`` hands the shard's chain to recovery
+    too: an after-apply crash on one shard still reaches its trail."""
+    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True,
+                           storage_backend="sqlite", audit=True,
+                           audit_sync="off")
+    try:
+        unit = cluster.unit_for(1)
+        client = AssuredDeletionClient(LoopbackChannel(unit.backend),
+                                       rng=DeterministicRandom("shard"))
+        key = client.outsource(1, [b"a", b"b", b"c"])
+        ids = client.item_ids_of(3)
+        unit.server.arm_crash(CRASH_POINT_AFTER_APPLY)
+        with pytest.raises(SimulatedCrash):
+            client.delete(1, key, ids[1])
+        _kill(unit.server)
+        unit.engine = make_engine("sqlite", unit.engine_path)
+        recovered = cluster.recover_shard(unit.shard_id)
+        assert recovered.last_recovery["audited_records"] == 1
+        key = client.resume_delete(1, ids[1])
+        assert client.access(1, key, ids[0]) == b"a"
+        history = _history_matches(unit.wal_path, unit.audit_path,
+                                   recovered.ctx)
+        assert [op for op, _rid in history] == ["OutsourceRequest",
+                                                "DeleteCommit"]
+    finally:
+        cluster.stop()

@@ -6,15 +6,21 @@ identical modulators, request ids, and ciphertext bytes); their
 per-file snapshots must be bit-identical at every comparison point --
 across mid-sequence compactions, full restarts, and simulated crashes
 at both compaction seams.
+
+The SQLite engine plus the WAL is the server's only durable state, so
+this module also pins what a restart must preserve: tree shapes,
+versions, ciphertexts, the request-id replay table, and the modulator
+width the trees were written with.
 """
 
-import os
 import pickle
 
 import pytest
 
 from repro.client.client import AssuredDeletionClient
-from repro.core.errors import ReproError, SimulatedCrash
+from repro.core.errors import (ProtocolError, ReproError, SimulatedCrash,
+                               UnknownItemError)
+from repro.core.params import SHA256_PARAMS
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
 from repro.protocol.channel import LoopbackChannel
@@ -23,12 +29,13 @@ from repro.server.engine import make_engine
 from repro.server.paging import NodeCache, PagedModulatorStore
 from repro.server.server import (CRASH_POINT_AFTER_FLUSH,
                                  CRASH_POINT_BEFORE_FLUSH, CloudServer)
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import snapshot_file
+from tests.conftest import make_scheme
 
 pytestmark = pytest.mark.slow
 
-DURABLE = ("log", "sqlite")
+DURABLE = ("sqlite",)
 
 
 def _world(tmp_path, tag, *, backend=None, cache_nodes=65536, seed="twin"):
@@ -100,7 +107,7 @@ def test_twin_world_survives_restart(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert recovered.last_recovery["replayed_records"] == 0  # compacted
     assert recovered.file_ids() == [1, 2]
     assert not recovered._files  # nothing materialised yet
@@ -125,7 +132,7 @@ def test_recovered_server_keeps_serving(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine,
+    recovered = recover_server(wal_path, engine=engine,
                                cache_nodes=4)  # force real paging
     client2 = AssuredDeletionClient(LoopbackChannel(recovered),
                                     rng=DeterministicRandom("twin-2"),
@@ -171,7 +178,7 @@ def test_compaction_crash_seams_recover(tmp_path, backend, point):
     eng_server.wal.close()
     eng_server.engine.close()
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     if point == CRASH_POINT_BEFORE_FLUSH:
         # The WAL was not truncated: replay must redo the lost tail.
         assert recovered.last_recovery["replayed_records"] > 0
@@ -216,19 +223,6 @@ def test_engine_backed_server_is_not_picklable(tmp_path):
     server.engine.close()
 
 
-def test_checkpoint_delegates_to_compact_storage(tmp_path):
-    """The legacy checkpoint entry point must not pickle an image for an
-    engine-backed server; it compacts instead."""
-    server, client, _ = _world(tmp_path, "ckpt", backend="sqlite")
-    client.outsource(1, [b"a"])
-    image = str(tmp_path / "server.img")
-    checkpoint(server, image)
-    assert not os.path.exists(image)
-    assert server.wal.compactions == 1
-    server.wal.close()
-    server.engine.close()
-
-
 def test_file_visibility_without_materialisation(tmp_path):
     """has_file / file_ids / file_count see engine-resident files the
     server never paged in."""
@@ -240,7 +234,7 @@ def test_file_visibility_without_materialisation(tmp_path):
     engine_path = str(tmp_path / "engine-vis")
     server.engine.close()
     engine = make_engine("sqlite", engine_path)
-    fresh = recover_server(None, wal_path, engine=engine)
+    fresh = recover_server(wal_path, engine=engine)
     assert fresh.has_file(1) and fresh.has_file(2)
     assert not fresh.has_file(3)
     assert fresh.file_ids() == [1, 2]
@@ -260,6 +254,181 @@ def test_delete_file_reaches_the_engine(tmp_path):
     assert server.file_ids() == []
     server.wal.close()
     server.engine.close()
+
+
+# ---------------------------------------------------------------------
+# What a restart preserves (checkpoint = compact_storage, reopen)
+# ---------------------------------------------------------------------
+
+def _checkpoint_and_recover(server, tmp_path, params=None):
+    """Checkpoint ``server`` into a fresh ``state.db``, then recover a
+    new server from it (the old one keeps the closed engine: read any
+    expected state off it first)."""
+    path = str(tmp_path / "state.db")
+    engine = make_engine("sqlite", path)
+    server.attach_engine(engine)
+    server.compact_storage()
+    engine.close()
+    return recover_server(str(tmp_path / "server.wal"), params,
+                          engine=make_engine("sqlite", path))
+
+
+def test_roundtrip_preserves_state(tmp_path, scheme):
+    fid, ids = scheme.new_file([b"a", b"b", b"c", b"d"])
+    scheme.delete(fid, ids[1])
+    scheme.modify(fid, ids[0], b"a-v2")
+    before = snapshot_file(scheme.server, fid)
+    version = scheme.server.file_state(fid).version
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    assert snapshot_file(restored, fid) == before
+    assert restored.file_state(fid).version == version
+
+
+def test_client_continues_against_restored_server(tmp_path, scheme):
+    fid, ids = scheme.new_file([b"x", b"y", b"z"])
+    key = scheme._key(fid)
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    client = AssuredDeletionClient(LoopbackChannel(restored),
+                                   rng=DeterministicRandom("restore"),
+                                   keystore=scheme.client.keystore,
+                                   store_keys=False)
+    assert client.access(fid, key, ids[0]) == b"x"
+    new_key = client.delete(fid, key, ids[1])
+    assert client.fetch_file(fid, new_key) == {ids[0]: b"x", ids[2]: b"z"}
+
+
+def test_multiple_files(tmp_path, scheme):
+    fid1, _ = scheme.new_file([b"one"])
+    fid2, _ = scheme.new_file([b"two", b"three"])
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    assert restored.has_file(fid1)
+    assert restored.has_file(fid2)
+    assert restored.file_state(fid2).tree.leaf_count == 2
+
+
+def test_empty_server(tmp_path):
+    scheme = make_scheme("empty-persist")
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    assert not restored.has_file(1)
+    assert restored.file_ids() == []
+
+
+def test_rejects_garbage(tmp_path):
+    """A ``state.db`` that is not a SQLite database fails on open."""
+    path = tmp_path / "state.db"
+    path.write_bytes(b"NOPE" + b"\x00" * 40)
+    with pytest.raises(ProtocolError, match="not a storage engine"):
+        make_engine("sqlite", str(path))
+
+
+def test_rejects_wrong_parameters(tmp_path, scheme):
+    """An engine written with 20-byte modulators must not open under
+    32-byte parameters: replaying commits into it would XOR 32-byte
+    deltas into 20-byte modulators.  The refusal comes from
+    ``attach_engine``, before any WAL record is replayed."""
+    scheme.new_file([b"a"])
+    _checkpoint_and_recover(scheme.server, tmp_path).wal.close()
+    engine = make_engine("sqlite", str(tmp_path / "state.db"))
+    try:
+        assert engine.modulator_width() == 20
+        with pytest.raises(ProtocolError, match="20-byte modulators"):
+            CloudServer(SHA256_PARAMS).attach_engine(engine)
+        wal_before = (tmp_path / "server.wal").read_bytes()
+        with pytest.raises(ProtocolError):
+            recover_server(str(tmp_path / "server.wal"), SHA256_PARAMS,
+                           engine=engine)
+        assert (tmp_path / "server.wal").read_bytes() == wal_before
+    finally:
+        engine.close()
+
+
+def test_width_is_recorded_at_first_flush(tmp_path):
+    """A never-flushed engine carries no width and opens under any
+    parameters; the first compaction records the server's."""
+    engine = make_engine("sqlite", str(tmp_path / "state.db"))
+    server = CloudServer(SHA256_PARAMS, engine=engine)
+    assert engine.modulator_width() is None
+    server.compact_storage()
+    assert engine.modulator_width() == 32
+    engine.close()
+
+
+def test_refuses_to_save_missing_ciphertext(tmp_path, scheme):
+    """A tree entry without its ciphertext is corruption.  Flushing a
+    silently smaller file would look like a clean deletion on restart,
+    so compaction must refuse before staging anything for the file."""
+    fid, ids = scheme.new_file([b"a", b"b"])
+    scheme.server.file_state(fid).ciphertexts.delete(ids[0])
+    path = str(tmp_path / "state.db")
+    engine = make_engine("sqlite", path)
+    scheme.server.attach_engine(engine)
+    with pytest.raises(UnknownItemError, match="no ciphertext"):
+        scheme.server.compact_storage()
+    engine.close()  # close flushes: nothing half-staged may land
+    reopened = make_engine("sqlite", path)
+    try:
+        assert reopened.file_ids() == []
+    finally:
+        reopened.close()
+
+
+def test_roundtrip_single_item_tree(tmp_path, scheme):
+    fid, ids = scheme.new_file([b"only"])
+    before = snapshot_file(scheme.server, fid)
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    assert snapshot_file(restored, fid) == before
+    assert restored.file_state(fid).tree.leaf_count == 1
+    client = AssuredDeletionClient(LoopbackChannel(restored),
+                                   rng=DeterministicRandom("single"),
+                                   keystore=scheme.client.keystore,
+                                   store_keys=False)
+    assert client.access(fid, scheme._key(fid), ids[0]) == b"only"
+
+
+def test_roundtrip_post_delete_states(tmp_path, scheme):
+    """Deletion reshapes the tree (leaf moves, shrunk slot range); the
+    engine must capture those states too, down to a single survivor."""
+    fid, ids = scheme.new_file([b"a", b"b", b"c", b"d"])
+    scheme.delete(fid, ids[0])
+    scheme.delete(fid, ids[3])
+    scheme.delete(fid, ids[2])
+    before = snapshot_file(scheme.server, fid)
+    restored = _checkpoint_and_recover(scheme.server, tmp_path)
+    assert snapshot_file(restored, fid) == before
+    assert restored.file_state(fid).tree.leaf_count == 1
+    assert restored.file_state(fid).version == 3
+    client = AssuredDeletionClient(LoopbackChannel(restored),
+                                   rng=DeterministicRandom("post-delete"),
+                                   keystore=scheme.client.keystore,
+                                   store_keys=False)
+    assert client.access(fid, scheme._key(fid), ids[1]) == b"b"
+
+
+def test_idempotency_cache_round_trips(tmp_path):
+    """The request-id replay table persists in the engine: a commit
+    whose Ack was lost is answered, not re-applied, by the restored
+    server."""
+    from repro.protocol.faults import (DROP_RESPONSE, NONE, ChannelError,
+                                       FaultInjectingChannel)
+
+    server = CloudServer()
+    channel = FaultInjectingChannel(server, [])
+    client = AssuredDeletionClient(channel,
+                                   rng=DeterministicRandom("replay-table"))
+    key = client.outsource(1, [b"a", b"b", b"c"])
+    ids = client.item_ids_of(3)
+    channel._schedule = iter([NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        client.delete(1, key, ids[1])
+
+    entries = server.replay_cache_entries()
+    restored = _checkpoint_and_recover(server, tmp_path)
+    assert restored.replay_cache_entries() == entries
+
+    channel._server = restored
+    new_key = client.resume_delete(1, ids[1])
+    assert restored.file_state(1).version == 1  # answered from the cache
+    assert client.access(1, new_key, ids[0]) == b"a"
 
 
 # ---------------------------------------------------------------------
@@ -301,7 +470,7 @@ def test_paging_respects_cache_bound(tmp_path):
     server.wal.close()
     server.engine.close()
     engine = make_engine("sqlite", str(tmp_path / "engine-bound"))
-    small = recover_server(None, wal_path, engine=engine, cache_nodes=8)
+    small = recover_server(wal_path, engine=engine, cache_nodes=8)
     client2 = AssuredDeletionClient(LoopbackChannel(small),
                                     rng=DeterministicRandom("bound-2"),
                                     keystore=client.keystore,
@@ -360,7 +529,7 @@ def test_wal_marker_not_replayed(tmp_path):
     server.wal.close()
     server.engine.close()
     engine = make_engine("sqlite", str(tmp_path / "engine-marker"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert recovered.file_ids() == [1]
     recovered.wal.close()
     engine.close()

@@ -1,4 +1,4 @@
-"""The write-ahead commit log: format, torn tails, checkpoint, recovery."""
+"""The write-ahead commit log: format, torn tails, compaction, recovery."""
 
 import os
 import struct
@@ -8,13 +8,12 @@ import pytest
 
 import repro.server.wal as wal_module
 from repro.client.client import AssuredDeletionClient
-from repro.core.errors import ProtocolError
+from repro.core.errors import ProtocolError, SimulatedCrash
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
-from repro.server.persistence import load_server, save_server
-from repro.server.server import CloudServer
-from repro.server.wal import (CommitLog, checkpoint, fsync_directory,
-                              recover_server)
+from repro.server.engine import make_engine
+from repro.server.server import CRASH_POINT_AFTER_FLUSH, CloudServer
+from repro.server.wal import CommitLog, fsync_directory, recover_server
 from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
@@ -94,17 +93,6 @@ def test_rejects_unknown_version(tmp_path):
         CommitLog(str(path))
 
 
-def test_reset_empties_the_log(tmp_path):
-    path = tmp_path / "log"
-    with CommitLog(str(path)) as log:
-        log.append(b"x")
-        log.reset()
-        assert log.appended == 0
-        log.append(b"y")
-    with CommitLog(str(path)) as log:
-        assert log.records() == [b"y"]
-
-
 # ---------------------------------------------------------------------
 # Append failure: torn-record repair, fail-closed, durable prefix
 # ---------------------------------------------------------------------
@@ -165,8 +153,8 @@ def test_append_failure_without_repair_fails_closed(tmp_path, monkeypatch):
     monkeypatch.setattr("builtins.open", real_open)
     with pytest.raises(ProtocolError, match="failed closed"):
         log.append(b"rejected")
-    # reset() (the checkpoint path) rewrites the file and re-arms it.
-    log.reset()
+    # compact() (the checkpoint path) rewrites the file and re-arms it.
+    log.compact(b"snapshot")
     log.append(b"fresh-start")
     log.close()
     with CommitLog(path) as reopened:
@@ -278,9 +266,8 @@ def test_group_commit_failure_fails_every_rider(tmp_path):
 # Directory durability
 # ---------------------------------------------------------------------
 
-def test_directory_fsync_on_create_reset_and_checkpoint(tmp_path,
-                                                        monkeypatch):
-    """Log creation, reset(), and the checkpoint image replace must all
+def test_directory_fsync_on_create_and_compact(tmp_path, monkeypatch):
+    """Log creation and compaction (tmp-write + os.replace) must both
     sync the parent directory, or a crash can lose the file's very name."""
     synced = []
     real = fsync_directory
@@ -291,14 +278,9 @@ def test_directory_fsync_on_create_reset_and_checkpoint(tmp_path,
     log = CommitLog(path)  # creation
     assert synced == [path]
     log.append(b"x")
-    log.reset()
+    log.compact(b"snapshot")
     assert synced == [path, path]
     log.close()
-
-    synced.clear()
-    image = str(tmp_path / "server.img")
-    save_server(CloudServer(), image)  # tmp-write + os.replace
-    assert synced == [image]
 
 
 def test_fsync_directory_is_a_posix_guarded_noop(tmp_path, monkeypatch):
@@ -308,23 +290,22 @@ def test_fsync_directory_is_a_posix_guarded_noop(tmp_path, monkeypatch):
     fsync_directory(str(tmp_path / "whatever"))  # must not raise
 
 
-def _durable_pair(tmp_path, seed="wal"):
-    image = str(tmp_path / "server.img")
+def _durable_pair(tmp_path, seed="wal", engine=None):
     wal_path = str(tmp_path / "server.wal")
-    server = CloudServer(wal=CommitLog(wal_path))
+    server = CloudServer(wal=CommitLog(wal_path), engine=engine)
     client = AssuredDeletionClient(LoopbackChannel(server),
                                    rng=DeterministicRandom(seed))
-    return server, client, image, wal_path
+    return server, client, wal_path
 
 
 def test_recovery_from_wal_alone(tmp_path):
-    """No checkpoint image yet: the WAL holds the full history."""
-    server, client, image, wal_path = _durable_pair(tmp_path)
+    """No storage engine: the WAL holds the full history."""
+    server, client, wal_path = _durable_pair(tmp_path)
     key = client.outsource(1, [b"a", b"b", b"c"])
     ids = client.item_ids_of(3)
     key = client.delete(1, key, ids[1])
 
-    recovered = recover_server(image, wal_path)
+    recovered = recover_server(wal_path)
     assert snapshot_file(recovered, 1) == snapshot_file(server, 1)
     assert recovered.file_state(1).version == 1
     # The recovered server keeps logging: a further commit survives too.
@@ -332,46 +313,64 @@ def test_recovery_from_wal_alone(tmp_path):
                                     rng=DeterministicRandom("wal-2"),
                                     keystore=client.keystore, store_keys=False)
     client2.modify(1, key, ids[0], b"a-v2")
-    again = recover_server(image, wal_path)
+    again = recover_server(wal_path)
     assert snapshot_file(again, 1) == snapshot_file(recovered, 1)
 
 
-def test_checkpoint_folds_wal_into_image(tmp_path):
-    server, client, image, wal_path = _durable_pair(tmp_path)
+def test_checkpoint_folds_wal_into_engine(tmp_path):
+    engine_path = str(tmp_path / "state.db")
+    server, client, wal_path = _durable_pair(
+        tmp_path, engine=make_engine("sqlite", engine_path))
     key = client.outsource(1, [b"a", b"b"])
     ids = client.item_ids_of(2)
     client.delete(1, key, ids[0])
     assert server.wal.appended >= 2
 
-    checkpoint(server, image)
+    server.compact_storage()
     assert server.wal.appended == 0
-    with open(wal_path, "rb") as handle:
-        assert handle.read() == HEADER
-    # The image alone now reproduces the state.
-    assert snapshot_file(load_server(image), 1) == snapshot_file(server, 1)
-    # And recovery (image + empty WAL) agrees.
-    recovered = recover_server(image, wal_path)
-    assert snapshot_file(recovered, 1) == snapshot_file(server, 1)
+    assert server.wal.records() == []
+    expected = snapshot_file(server, 1)
+    server.wal.close()
+    server.engine.close()
+    with CommitLog(wal_path) as log:
+        assert log.records() == []  # only the snapshot marker is left
+        assert log.snapshot_marker is not None
+    # The engine alone now reproduces the state.
+    engine = make_engine("sqlite", engine_path)
+    recovered = recover_server(wal_path, engine=engine)
+    assert recovered.last_recovery["replayed_records"] == 0
+    assert snapshot_file(recovered, 1) == expected
+    recovered.wal.close()
+    engine.close()
 
 
 def test_wal_replay_after_checkpoint_is_idempotent(tmp_path):
-    """Crash between image replace and WAL reset: the logged commits are
-    already in the image, and the request-id cache (persisted with it)
-    answers the replay instead of applying the deltas twice."""
-    server, client, image, wal_path = _durable_pair(tmp_path)
+    """Crash between the engine flush and the WAL truncate: the logged
+    commits are already in the engine, and the request-id table
+    (persisted with it) answers the replay instead of applying the
+    deltas twice."""
+    engine_path = str(tmp_path / "state.db")
+    server, client, wal_path = _durable_pair(
+        tmp_path, engine=make_engine("sqlite", engine_path))
     key = client.outsource(1, [b"a", b"b", b"c", b"d"])
     ids = client.item_ids_of(4)
     new_key = client.delete(1, key, ids[2])
 
-    # Checkpoint WITHOUT resetting the WAL, simulating the torn middle of
-    # repro.server.wal.checkpoint.
-    from repro.server.persistence import save_server
-    save_server(server, image)
+    server.arm_crash(CRASH_POINT_AFTER_FLUSH)
+    with pytest.raises(SimulatedCrash):
+        server.compact_storage()
+    expected = snapshot_file(server, 1)
+    server.wal.close()
+    server.engine.close()
 
-    recovered = recover_server(image, wal_path)
-    assert snapshot_file(recovered, 1) == snapshot_file(server, 1)
+    engine = make_engine("sqlite", engine_path)
+    recovered = recover_server(wal_path, engine=engine)
+    assert recovered.last_recovery["replayed_records"] == 2
+    assert snapshot_file(recovered, 1) == expected
     assert recovered.file_state(1).version == 1  # not applied twice
     client2 = AssuredDeletionClient(LoopbackChannel(recovered),
                                     rng=DeterministicRandom("wal-3"),
                                     keystore=client.keystore, store_keys=False)
     assert client2.access(1, new_key, ids[0]) == b"a"
+    recovered.wal.close()
+    engine.close()
