@@ -14,7 +14,7 @@ Acceptance (ISSUE 9): >= 2.5x aggregate durable ops/s at 4 shards over
 1 shard on this fsync-bound workload.
 
 The sweep lands in ``BENCH_shard.json`` at the repo root (its own
-artifact, next to ``BENCH_async.json``).
+artifact, next to ``BENCH_group_commit.json``).
 """
 
 from __future__ import annotations

@@ -252,12 +252,8 @@ def cmd_serve(vault: Vault, args) -> int:
     vault.load()
     if vault.fs.server is None:
         raise ReproError("this vault was created against an external server")
-    if args.use_async:
-        from repro.protocol.aio import AsyncTcpServerHost as host_cls
-    else:
-        from repro.protocol.tcp import TcpServerHost as host_cls
-
     from repro.obs.health import HEALTH
+    from repro.protocol.tcp import TcpServerHost
 
     metrics_server = None
     if args.metrics_port is not None:
@@ -328,8 +324,8 @@ def cmd_serve(vault: Vault, args) -> int:
         _print(f"audit trail: {audit_path} "
                f"(chain at seq {audit_log.seq})")
 
-    with host_cls(server, port=args.port,
-                  max_conns=args.max_conns) as host:
+    with TcpServerHost(server, port=args.port,
+                       max_conns=args.max_conns) as host:
         _print(f"serving vault on {host.address[0]}:{host.address[1]} "
                f"(ctrl-C to stop)")
         try:
@@ -364,10 +360,9 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     from repro.obs.health import HEALTH
     from repro.server.cluster import ShardCluster
 
-    transport = "async" if args.use_async else "tcp"
     shard_dir = os.path.join(vault.server_dir, "shards")
     cluster = ShardCluster(
-        args.shards, params=vault.fs.params, transport=transport,
+        args.shards, params=vault.fs.params, transport="tcp",
         data_dir=shard_dir, durable=args.durable, audit=args.audit,
         group_commit=args.group_commit, max_conns=args.max_conns,
         base_port=args.port,
@@ -654,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-conns", type=int, default=None,
                        help="bound concurrently served TCP connections "
                             "(excess dials queue in the listen backlog)")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve over the asyncio host (pipelined tagged "
-                            "frames, thread-per-connection-free)")
     serve.add_argument("--group-commit", action="store_true",
                        help="with --durable: coalesce concurrent WAL appends "
                             "into shared write+fsync batches")
@@ -685,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operations per worker thread")
     stress.add_argument("--readers", type=int, default=1,
                         help="keyless foreign-reader threads")
-    stress.add_argument("--transport", choices=("loopback", "tcp", "async"),
+    stress.add_argument("--transport", choices=("loopback", "tcp"),
                         default="loopback")
     stress.add_argument("--shards", type=int, default=1,
                         help="independent server shards behind the "

@@ -284,7 +284,6 @@ class OutsourcedFileSystem:
 
     @classmethod
     def connect_sharded(cls, addresses: Sequence[tuple[str, int]],
-                        transport: str = "tcp",
                         params: Params | None = None,
                         rng: RandomSource | None = None,
                         metrics: MetricsCollector | None = None,
@@ -296,10 +295,10 @@ class OutsourcedFileSystem:
                         ) -> "OutsourcedFileSystem":
         """Open a file system against a sharded serving tier.
 
-        ``addresses`` lists one host per shard, indexed by shard id (the
-        order ``serve --shards N`` prints them).  Every file resolves to
-        its shard transparently through the consistent-hash ring; the
-        client sees one logical server.  ``meta_id_base``/
+        ``addresses`` lists one TCP host per shard, indexed by shard id
+        (the order ``serve --shards N`` prints them).  Every file
+        resolves to its shard transparently through the consistent-hash
+        ring; the client sees one logical server.  ``meta_id_base``/
         ``file_id_base`` partition the id space exactly as in the
         constructor (several clients sharing one cluster pass disjoint
         bases).
@@ -310,13 +309,7 @@ class OutsourcedFileSystem:
         params = params if params is not None else Params()
         ctx = WireContext(modulator_width=params.modulator_size)
         vnodes = vnodes if vnodes is not None else DEFAULT_VNODES
-        if transport == "tcp":
-            shard_map = ShardMap.tcp(addresses, ctx, retry=retry,
-                                     vnodes=vnodes)
-        elif transport == "async":
-            shard_map = ShardMap.async_tcp(addresses, ctx, vnodes=vnodes)
-        else:
-            raise ReproError(f"unknown shard transport {transport!r}")
+        shard_map = ShardMap.tcp(addresses, ctx, retry=retry, vnodes=vnodes)
         return cls(ShardRoutingChannel(shard_map), params=params, rng=rng,
                    metrics=metrics, group_of=group_of,
                    meta_id_base=meta_id_base, file_id_base=file_id_base)

@@ -14,10 +14,10 @@ module supplies the routing layer:
   point clockwise.  Adding or removing one shard moves only the keys
   adjacent to its points (~1/N of the space), never reshuffles the rest.
 * :class:`ShardMap` -- the small routing interface: a ring plus a
-  channel factory saying how to reach each shard (in-process loopback,
-  sync TCP, or the pipelined async host).  Every call to
-  :meth:`ShardMap.make_channel` opens a *fresh* channel, so several
-  clients can share one map without sharing sockets or counters.
+  channel factory saying how to reach each shard (in-process loopback
+  or TCP).  Every call to :meth:`ShardMap.make_channel` opens a *fresh*
+  channel, so several clients can share one map without sharing
+  sockets or counters.
 * :class:`ShardRoutingChannel` -- a drop-in :class:`Channel` that
   resolves ``message.file_id`` through the ring and forwards to the
   owning shard's channel (opened lazily, one per shard).  All per-shard
@@ -150,7 +150,7 @@ class ShardMap:
             raise ProtocolError(f"shard {shard_id} is not on the ring")
         return self._factory(shard_id)
 
-    # -- constructors for the three transports --------------------------
+    # -- constructors for the two transports ----------------------------
 
     @classmethod
     def local(cls, backends: Sequence, *,
@@ -165,22 +165,12 @@ class ShardMap:
     @classmethod
     def tcp(cls, addresses: Sequence[Tuple[str, int]], ctx: WireContext, *,
             retry=None, vnodes: int = DEFAULT_VNODES) -> "ShardMap":
-        """Shards served by sync TCP hosts, one address per shard id."""
+        """Shards served by TCP hosts, one address per shard id."""
         from repro.protocol.tcp import TcpChannel
         addresses = [tuple(address) for address in addresses]
         ring = HashRing(range(len(addresses)), vnodes=vnodes)
         return cls(ring, ctx,
                    lambda sid: TcpChannel(addresses[sid], ctx, retry=retry))
-
-    @classmethod
-    def async_tcp(cls, addresses: Sequence[Tuple[str, int]],
-                  ctx: WireContext, *,
-                  vnodes: int = DEFAULT_VNODES) -> "ShardMap":
-        """Shards served by the pipelined asyncio hosts."""
-        from repro.protocol.aio import AsyncTcpChannel
-        addresses = [tuple(address) for address in addresses]
-        ring = HashRing(range(len(addresses)), vnodes=vnodes)
-        return cls(ring, ctx, lambda sid: AsyncTcpChannel(addresses[sid], ctx))
 
 
 class ShardRoutingChannel(Channel):

@@ -116,8 +116,8 @@ WAL_FSYNC_SECONDS = REGISTRY.histogram(
     "repro_wal_fsync_seconds",
     "fsync latency of one durable WAL append",
     (), DISK_BUCKETS)
-#: Powers of two up to the default group_max_batch (128) and beyond.
-BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+#: Powers of two up to ``wal.GROUP_MAX_BATCH`` (128), the largest batch.
+BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 WAL_GROUP_COMMIT_BATCH = REGISTRY.histogram(
     "repro_wal_group_commit_batch",
     "Records coalesced into one group-commit WAL write+fsync",
@@ -217,15 +217,9 @@ SPANS_DROPPED = REGISTRY.counter(
     ("reason",))
 
 # ---------------------------------------------------------------------
-# Runtime depth gauges (async loop, executor, group commit, replay)
+# Runtime depth gauges (group commit, replay)
 # ---------------------------------------------------------------------
 
-AIO_LOOP_LAG_SECONDS = REGISTRY.gauge(
-    "repro_aio_loop_lag_seconds",
-    "Scheduling delay of the async host's event loop (monitor probe)")
-AIO_EXECUTOR_QUEUE = REGISTRY.gauge(
-    "repro_aio_executor_queue_depth",
-    "Dispatch jobs waiting for a worker thread in the async host pool")
 WAL_GROUP_QUEUE = REGISTRY.gauge(
     "repro_wal_group_commit_queue_depth",
     "Appends waiting for the group-commit committer thread")

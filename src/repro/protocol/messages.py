@@ -227,9 +227,9 @@ class ErrorReply(Message):
     """Failure reply with a machine-readable code.
 
     ``request_id`` echoes the failing request's idempotency id (0 when
-    the request carried none or could not be decoded), so a pipelined
-    client -- or the obs layer -- can correlate a server-side failure
-    with the request that caused it.
+    the request carried none or could not be decoded), so the client --
+    or the obs layer -- can correlate a server-side failure with the
+    request that caused it.
     """
 
     TYPE: ClassVar[int] = 2

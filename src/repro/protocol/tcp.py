@@ -3,16 +3,25 @@
 The loopback channel is exact for measurement, but a reproduction of a
 *distributed* system should also actually cross a socket.  This module
 frames the existing binary messages over TCP (4-byte big-endian length
-prefix) and provides:
+prefix) and provides the one server host and its client channel:
 
-* :class:`TcpServerHost` -- a threaded TCP host wrapping any object with
-  ``handle_bytes`` (the honest :class:`~repro.server.server.CloudServer`,
-  a malicious variant, or a :class:`~repro.baselines.base.BlobStoreServer`);
+* :class:`TcpServerHost` -- a thread-per-connection TCP host wrapping
+  any object with ``handle_bytes`` (the honest
+  :class:`~repro.server.server.CloudServer`, a malicious variant, or a
+  :class:`~repro.baselines.base.BlobStoreServer`);
 * :class:`TcpChannel` -- a :class:`~repro.protocol.channel.Channel` that
   speaks the framing over a persistent connection, with the same byte
   accounting as the loopback channel;
 * :class:`RetryPolicy` -- per-request timeout and exponential-backoff
   retry knobs for the channel.
+
+One request is in flight per connection: the paper's deletion is two
+dependent round trips (the ``MT(k)`` challenge, then the delta commit),
+so pipelining could not shorten it, and a thread per connection lets
+concurrent WAL appends pile up into one group-commit fsync.  A length
+word above :data:`MAX_FRAME` (which includes any word with its top bit
+set) is a framing violation: the host logs one warning and closes that
+connection.
 
 A request that fails mid-round-trip (timeout, reset, EINTR) *invalidates
 the connection*: a late reply to request N must never be consumed as the
@@ -111,9 +120,9 @@ def error_reply_bytes(backend, request_bytes: bytes,
     """Encode an ErrorReply for a request the backend failed on.
 
     The failing request is re-decoded (best effort) so the reply echoes
-    its ``request_id`` and trace trailer -- a pipelined client, and the
-    obs layer, can then correlate the failure with the request that
-    caused it.  Returns ``None`` when the backend has no wire context
+    its ``request_id`` and trace trailer -- the client, and the obs
+    layer, can then correlate the failure with the request that caused
+    it.  Returns ``None`` when the backend has no wire context
     (a baseline backend cannot produce protocol messages at all).
     """
     ctx = getattr(backend, "ctx", None)
@@ -154,6 +163,10 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 request = recv_frame(self.request)
+            except ProtocolError as exc:
+                logger.warning("tcp host: %s from %s; closing connection",
+                               exc, self.client_address)
+                return
             except (ConnectionError, OSError):
                 return
             try:
@@ -444,6 +457,14 @@ class TcpChannel(Channel):
 
     def close(self) -> None:
         self._closing.set()  # wakes a retry parked in its backoff sleep
+        sock = self._sock
+        if sock is not None:
+            # Unblock an exchange parked in recv while holding the lock,
+            # so close() fails it now instead of after its full timeout.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         with self._lock:
             self._invalidate()
 

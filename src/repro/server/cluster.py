@@ -3,9 +3,9 @@
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay caches,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
-its own storage engine and audit chain, optionally its own TCP or
-async host.  Nothing is shared between shards except the process, so a
-shard crash, recovery, or compaction never touches its siblings, and
+its own storage engine and audit chain, optionally its own TCP host.
+Nothing is shared between shards except the process, so a shard crash,
+recovery, or compaction never touches its siblings, and
 durable-mutation throughput scales with the number of independent WAL
 fsync streams.
 
@@ -33,7 +33,7 @@ from repro.obs import runtime as obs
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog, recover_server
 
-TRANSPORTS = ("loopback", "tcp", "async")
+TRANSPORTS = ("loopback", "tcp")
 
 
 class _ShardBackend:
@@ -98,8 +98,9 @@ class ShardCluster:
     """``shards`` independent server units behind one consistent-hash ring.
 
     ``transport`` selects how the units are addressed: ``"loopback"``
-    leaves them in-process (channels via :meth:`shard_map`), ``"tcp"`` /
-    ``"async"`` start one host per shard on :meth:`start`.
+    leaves them in-process (channels via :meth:`shard_map`), ``"tcp"``
+    starts one :class:`~repro.protocol.tcp.TcpServerHost` per shard on
+    :meth:`start`.
 
     Durability modes:
 
@@ -219,15 +220,12 @@ class ShardCluster:
         """Start one host per shard (no-op for loopback)."""
         if self.transport == "loopback":
             return self
-        if self.transport == "tcp":
-            from repro.protocol.tcp import TcpServerHost as host_cls
-        else:
-            from repro.protocol.aio import AsyncTcpServerHost as host_cls
+        from repro.protocol.tcp import TcpServerHost
         for unit in self.units:
             port = 0 if self.base_port == 0 else \
                 self.base_port + unit.shard_id
-            unit.host = host_cls(unit.backend, port=port,
-                                 max_conns=self.max_conns).start()
+            unit.host = TcpServerHost(unit.backend, port=port,
+                                      max_conns=self.max_conns).start()
         return self
 
     def stop(self) -> None:
@@ -282,16 +280,11 @@ class ShardCluster:
             backends = [unit.backend for unit in self.units]
             return ShardMap(self.ring, ctx,
                             lambda sid: self._loopback(backends, sid))
-        if self.transport == "tcp":
-            from repro.protocol.tcp import TcpChannel
-            addresses = self.addresses()
-            return ShardMap(self.ring, ctx,
-                            lambda sid: TcpChannel(addresses[sid], ctx,
-                                                   retry=retry))
-        from repro.protocol.aio import AsyncTcpChannel
+        from repro.protocol.tcp import TcpChannel
         addresses = self.addresses()
         return ShardMap(self.ring, ctx,
-                        lambda sid: AsyncTcpChannel(addresses[sid], ctx))
+                        lambda sid: TcpChannel(addresses[sid], ctx,
+                                               retry=retry))
 
     @staticmethod
     def _loopback(backends: Sequence[_ShardBackend], shard_id: int):

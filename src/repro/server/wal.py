@@ -60,8 +60,8 @@ queue and the committer takes them all on its next pass.  Appenders
 wait only on their own entry's event -- never on the commit lock -- so
 a committed append returns immediately even while the next batch's
 fsync is in flight (a leader-follower scheme where followers re-take
-the lock convoys exactly there).  ``group_max_batch`` bounds one batch;
-``group_max_wait`` optionally lets the committer linger to fill it.
+the lock convoys exactly there).  :data:`GROUP_MAX_BATCH` bounds one
+batch; the committer never lingers to fill it.
 The observable durability contract is identical to per-append fsync --
 ``append`` returning means the record survives a crash -- only the
 fsyncs-per-record ratio changes.
@@ -90,6 +90,9 @@ _RECORD = struct.Struct(">II")
 #: loudly (the flagged length fails their bounds check) instead of
 #: replaying garbage.
 _MARKER_FLAG = 0x80000000
+
+#: Most records one group-commit batch makes durable with one fsync.
+GROUP_MAX_BATCH = 128
 
 
 def fsync_directory(path: str) -> None:
@@ -135,22 +138,13 @@ class CommitLog:
     ``compact`` truncates it once the storage engine holds its effects.
 
     ``group_commit=True`` coalesces concurrent appends into one
-    write+fsync (see the module docstring); ``group_max_batch`` bounds
-    the records per batch and ``group_max_wait`` (seconds) lets the
-    committer wait briefly for stragglers before syncing.
+    write+fsync of at most :data:`GROUP_MAX_BATCH` records (see the
+    module docstring).
     """
 
-    def __init__(self, path: str, *, group_commit: bool = False,
-                 group_max_batch: int = 128,
-                 group_max_wait: float = 0.0) -> None:
-        if group_max_batch < 1:
-            raise ValueError("group_max_batch must be >= 1")
-        if group_max_wait < 0:
-            raise ValueError("group_max_wait must be >= 0")
+    def __init__(self, path: str, *, group_commit: bool = False) -> None:
         self.path = path
         self.group_commit = group_commit
-        self.group_max_batch = group_max_batch
-        self.group_max_wait = group_max_wait
         #: Compactions performed on this log object (``compact`` calls);
         #: the latest snapshot marker found on disk or written survives
         #: in ``snapshot_marker``.
@@ -349,7 +343,7 @@ class CommitLog:
     def _commit_batch(self) -> None:
         """Drain one batch and make it durable (commit lock held)."""
         with self._queue_lock:
-            batch = self._queue[:self.group_max_batch]
+            batch = self._queue[:GROUP_MAX_BATCH]
             del self._queue[:len(batch)]
             depth = len(self._queue)
         if obs.enabled:
@@ -357,15 +351,6 @@ class CommitLog:
             ins.WAL_GROUP_QUEUE.set(depth)
         if not batch:
             return
-        if len(batch) < self.group_max_batch and self.group_max_wait > 0:
-            # Linger for stragglers: trade a bounded latency bump for
-            # fewer fsyncs.  Natural batching (appenders piling up while
-            # the previous fsync runs) needs no linger at all.
-            time.sleep(self.group_max_wait)
-            with self._queue_lock:
-                extra = self._queue[:self.group_max_batch - len(batch)]
-                del self._queue[:len(extra)]
-            batch.extend(extra)
 
         error: Exception | None = None
         if self._failed:

@@ -2,8 +2,7 @@
 
 Runs ``workers`` client threads against a shard cluster of ``shards``
 independent server instances (one by default) -- over loopback
-channels, a real TCP socket per shard, or the pipelined async host --
-each thread driving its own
+channels or a real TCP socket per shard -- each thread driving its own
 :class:`~repro.fs.filesystem.OutsourcedFileSystem` tenant (disjoint
 file-id space, own keys) through a randomized mix of put / read / modify
 / insert / delete / batch-delete / drop operations, while optional
@@ -107,7 +106,7 @@ class StressConfig:
     files_per_worker: int = 2
     min_records: int = 3
     max_records: int = 8
-    transport: str = "loopback"  # "loopback" | "tcp" | "async"
+    transport: str = "loopback"  # "loopback" | "tcp"
     #: Independent server shards behind the consistent-hash router.
     #: Every transport routes through the ring even at ``shards=1``,
     #: so the op mix is identical across shard counts for one seed.
@@ -128,7 +127,7 @@ class StressConfig:
     backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.transport not in ("loopback", "tcp", "async"):
+        if self.transport not in ("loopback", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown backend {self.backend!r}")
@@ -464,18 +463,19 @@ def run_stress(config: StressConfig) -> StressReport:
 
     # Every shard is an isolated server + WAL + audit chain; routing to
     # it goes through the consistent-hash ring regardless of transport.
-    # The async transport exercises the group-commit WAL path: many
-    # pipelined mutators coalescing into shared fsyncs, with the usual
-    # per-shard WAL-replay invariant still checked at the end.  Audit
-    # fsyncs are off: the chain's *structure* is what the invariant
-    # verifies, and the harness runs hundreds of seeded iterations in CI.
+    # The tcp transport exercises the group-commit WAL path: handler
+    # threads, one per connection, coalesce their appends into shared
+    # fsyncs, with the usual per-shard WAL-replay invariant still
+    # checked at the end.  Audit fsyncs are off: the chain's *structure*
+    # is what the invariant verifies, and the harness runs hundreds of
+    # seeded iterations in CI.
     wal_dir = config.wal_dir or tempfile.mkdtemp(prefix="repro-stress-")
     cluster = ShardCluster(
         config.shards, transport=config.transport, data_dir=wal_dir,
         fresh=True, audit=True, audit_sync="off",
         storage_backend=config.backend,
         wal_factory=lambda path: CommitLog(
-            path, group_commit=(config.transport == "async")))
+            path, group_commit=(config.transport == "tcp")))
 
     channels = []
     try:

@@ -49,12 +49,12 @@ def test_sharded_tcp_stress(seed):
 
 
 @pytest.mark.parametrize("seed",
-                         [f"shard-aio-{i}" for i in range(ITERATIONS)])
-def test_sharded_async_stress(seed):
-    """Per-shard pipelined async hosts + group-commit WALs."""
+                         [f"shard-tcp-gc-{i}" for i in range(ITERATIONS)])
+def test_sharded_tcp_group_commit_stress(seed):
+    """Per-shard thread hosts + group-commit WALs, more mutators."""
     report = run_stress(StressConfig(
-        seed=seed, workers=4, ops_per_worker=8, readers=2,
-        transport="async", shards=3))
+        seed=seed, workers=6, ops_per_worker=8, readers=2,
+        transport="tcp", shards=3))
     _check(report)
 
 

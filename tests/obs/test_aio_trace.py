@@ -1,15 +1,17 @@
-"""Trace trailers over the tagged (pipelined) async framing.
+"""Trace trailers across the one TCP host, where the asyncio transport used to carry them.
 
-``test_wire_trace.py`` pins the trailer bytes and
-``test_end_to_end.py`` proves propagation over the legacy framed TCP
-transport; this module proves the SAME trace context survives the
-tagged u64 framing -- including the async channel's retransmit path,
-which re-sends the traced request under a fresh tag.
+``test_wire_trace.py`` pins the trailer bytes and ``test_end_to_end.py``
+follows a deletion over a plain WAL.  With the tagged (pipelined)
+framing gone, a request frame is tagged only by its trace trailer; this
+module proves that tag survives what the asyncio transport was tested
+for: a group-commit WAL whose fsync runs on another thread, a
+retransmit (re-dialled over TCP, not re-sent under a fresh tag), the
+host's synthesized ErrorReply, untraced traffic, and application spans.
 """
 
 import io
 import json
-import struct
+import socket
 import time
 
 import pytest
@@ -19,14 +21,12 @@ from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.obs.trace import TraceContext, span
 from repro.protocol import messages as msg
-from repro.protocol.aio import TAG_FLAG, AsyncTcpChannel, AsyncTcpServerHost
-from repro.protocol.tcp import RetryPolicy
+from repro.protocol.tcp import (RetryPolicy, TcpChannel, TcpServerHost,
+                                recv_frame, send_frame)
 from repro.server.server import CloudServer
+from repro.server.wal import CommitLog
 
 pytestmark = pytest.mark.socket
-
-_LEN = struct.Struct(">I")
-_TAG = struct.Struct(">Q")
 
 
 def records(buf):
@@ -38,7 +38,7 @@ def spans_named(recs, name):
 
 
 def _seeded(host, server, seed, n=4):
-    with AsyncTcpChannel(host.address, server.ctx) as channel:
+    with TcpChannel(host.address, server.ctx) as channel:
         client = AssuredDeletionClient(channel,
                                        rng=DeterministicRandom(seed))
         client.outsource(1, [b"net-%d" % i for i in range(n)])
@@ -47,29 +47,31 @@ def _seeded(host, server, seed, n=4):
 
 
 def test_traced_delete_over_tagged_framing_shares_one_trace_id(tmp_path):
+    """Under group commit the fsync runs on the committer thread, yet the
+    wal.append spans stay in the deleting client's trace."""
     buf = io.StringIO()
     obs.enable(log_stream=buf)
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
-        key, ids, keystore = _seeded(host, server, seed="aio-trace")
-        buf.truncate(0)
-        buf.seek(0)
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
-            client = AssuredDeletionClient(channel,
-                                           rng=DeterministicRandom("t2"),
-                                           keystore=keystore,
-                                           store_keys=False)
-            client.delete(1, key, ids[1])
+    with CommitLog(str(tmp_path / "server.wal"), group_commit=True) as wal:
+        server.attach_wal(wal)
+        with TcpServerHost(server) as host:
+            key, ids, keystore = _seeded(host, server, seed="gc-trace")
+            buf.truncate(0)
+            buf.seek(0)
+            with TcpChannel(host.address, server.ctx) as channel:
+                client = AssuredDeletionClient(channel,
+                                               rng=DeterministicRandom("t2"),
+                                               keystore=keystore,
+                                               store_keys=False)
+                client.delete(1, key, ids[1])
 
     recs = records(buf)
     (root,) = spans_named(recs, "client.delete")
     trace_id = root["trace_id"]
-    for name in ("rpc.request", "server.handle"):
+    for name in ("rpc.request", "server.handle", "wal.append"):
         named = spans_named(recs, name)
         assert named, name
         assert all(r["trace_id"] == trace_id for r in named), name
-    # The handler hangs off the rpc span that carried it, exactly as on
-    # the legacy framing -- the 12 extra tag bytes are trace-neutral.
     rpc_ids = {r["span_id"] for r in spans_named(recs, "rpc.request")}
     assert all(r["parent_span_id"] in rpc_ids
                for r in spans_named(recs, "server.handle"))
@@ -77,7 +79,7 @@ def test_traced_delete_over_tagged_framing_shares_one_trace_id(tmp_path):
 
 class _SlowReplyOnce:
     """Apply the first DeleteCommit but stall its reply past the client
-    timeout, forcing a retransmit under a fresh tag."""
+    timeout, forcing a retransmit of identical bytes."""
 
     def __init__(self, inner, delay):
         self.inner = inner
@@ -95,38 +97,39 @@ class _SlowReplyOnce:
 
 
 def test_retransmit_under_fresh_tag_keeps_the_trace_id():
+    """TcpChannel retransmits on a fresh connection with the same bytes,
+    trailer included: both deliveries hang off the one rpc span."""
     buf = io.StringIO()
     obs.enable(log_stream=buf)
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
-        key, ids, keystore = _seeded(host, server, seed="aio-rt")
+    with TcpServerHost(backend) as host:
+        key, ids, keystore = _seeded(host, server, seed="rt")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
-        with AsyncTcpChannel(host.address, server.ctx,
-                             retry=retry) as channel:
+        with TcpChannel(host.address, server.ctx, retry=retry) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("rt2"),
                                            keystore=keystore,
                                            store_keys=False)
             client.delete(1, key, ids[0])
             assert channel.counters.retransmits >= 1
-            # Let the stalled original reply arrive; its stale tag must
-            # drop it without disturbing the channel.
-            time.sleep(1.2)
 
     recs = records(buf)
     (root,) = spans_named(recs, "client.delete")
+    retransmits = [r for r in recs if r.get("event") == "rpc.retransmit"]
     hits = [r for r in recs if r.get("event") == "server.replay_cache_hit"]
-    assert hits
-    # The retransmitted frame carried a NEW tag but the SAME trailer:
-    # the replay-cache hit it produced server-side sits inside the
-    # original end-to-end trace.
+    assert retransmits and hits
+    assert all(r["trace_id"] == root["trace_id"] for r in retransmits)
     assert all(h["trace_id"] == root["trace_id"] for h in hits)
-    # And the fresh-tag duplicate applied exactly once.
+    commits = [r for r in spans_named(recs, "server.handle")
+               if r["type"] == "DeleteCommit"]
+    (rpc,) = [r for r in spans_named(recs, "rpc.request")
+              if r["type"] == "DeleteCommit"]
+    assert len(commits) >= 2
+    assert all(r["trace_id"] == root["trace_id"]
+               and r["parent_span_id"] == rpc["span_id"] for r in commits)
+    # And the duplicate applied exactly once.
     assert server.file_state(1).version == 1
-    dropped = [r for r in recs
-               if r.get("event") == "rpc.late_reply_dropped"]
-    assert dropped  # the stale-tag original was discarded, not misrouted
 
 
 class _Exploding:
@@ -134,7 +137,6 @@ class _Exploding:
     error_reply_bytes path, the only reply that echoes a trailer."""
 
     def __init__(self, inner):
-        self.inner = inner
         self.ctx = inner.ctx
 
     def handle_bytes(self, data):
@@ -142,32 +144,22 @@ class _Exploding:
 
 
 def test_raw_tagged_frame_error_reply_echoes_tag_and_trailer():
-    """Byte-level: a tagged frame is [u32 len|TAG_FLAG][u64 tag][payload]
-    where the payload still ends with the ordinary trace trailer; when
-    the backend dies the synthesized ErrorReply echoes BOTH correlators
-    -- the tag (framing layer) and the trace trailer (obs layer)."""
-    import socket
-
-    obs.enable()
+    """Byte-level: a frame is [u32 len][payload] where the payload ends
+    with the trace trailer; when the backend dies the synthesized
+    ErrorReply echoes both correlators -- the request_id (protocol
+    layer) and the trace trailer (obs layer)."""
     context = TraceContext(trace_id=bytes(range(16)),
                            span_id=bytes(range(8)))
     server = CloudServer()
-    with AsyncTcpServerHost(_Exploding(server)) as host:
-        payload = msg.encode_message(
-            server.ctx,
-            msg.ModifyCommit(file_id=404, item_id=1, ciphertext=b"x",
-                             tree_version=0, request_id=9),
-            trace=context)
+    commit = msg.ModifyCommit(file_id=404, item_id=1, ciphertext=b"x",
+                              tree_version=0, request_id=9)
+    with TcpServerHost(_Exploding(server)) as host:
         with socket.create_connection(host.address, timeout=10) as raw:
-            raw.sendall(_LEN.pack(TAG_FLAG | len(payload))
-                        + _TAG.pack(7) + payload)
-            (word,) = _LEN.unpack(_recv_exact(raw, 4))
-            assert word & TAG_FLAG
-            (tag,) = _TAG.unpack(_recv_exact(raw, 8))
-            assert tag == 7
-            reply = msg.decode_message(server.ctx,
-                                       _recv_exact(raw, word & ~TAG_FLAG))
+            send_frame(raw, msg.encode_message(server.ctx, commit,
+                                               trace=context))
+            reply = msg.decode_message(server.ctx, recv_frame(raw))
     assert isinstance(reply, msg.ErrorReply)
+    assert reply.code == msg.E_BAD_REQUEST
     assert reply.request_id == 9
     echoed = msg.get_trace(reply)
     assert echoed is not None
@@ -175,15 +167,22 @@ def test_raw_tagged_frame_error_reply_echoes_tag_and_trailer():
 
 
 def test_untraced_tagged_frames_carry_no_trailer():
-    """With observability off, tagged frames stay trailer-free -- the
-    async transport adds no per-request trace overhead by default."""
+    """With observability off no frame carries a trailer, and the host's
+    ErrorReply echoes none back -- no per-request trace overhead."""
     assert not obs.runtime.enabled
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+    with TcpServerHost(server) as host:
+        with TcpChannel(host.address, server.ctx) as channel:
             reply = channel.request(msg.FetchFileRequest(file_id=404))
             assert isinstance(reply, msg.ErrorReply)
             assert msg.get_trace(reply) is None
+    with TcpServerHost(_Exploding(server)) as host:
+        with socket.create_connection(host.address, timeout=10) as raw:
+            send_frame(raw, msg.encode_message(
+                server.ctx, msg.FetchFileRequest(file_id=404)))
+            reply = msg.decode_message(server.ctx, recv_frame(raw))
+    assert isinstance(reply, msg.ErrorReply)
+    assert msg.get_trace(reply) is None
 
 
 def test_client_span_context_rides_the_tagged_framing():
@@ -192,21 +191,15 @@ def test_client_span_context_rides_the_tagged_framing():
     buf = io.StringIO()
     obs.enable(log_stream=buf)
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+    with TcpServerHost(server) as host:
+        with TcpChannel(host.address, server.ctx) as channel:
             with span("app.batch"):
                 channel.request(msg.FetchFileRequest(file_id=404))
     recs = records(buf)
     (app,) = spans_named(recs, "app.batch")
+    (rpc,) = spans_named(recs, "rpc.request")
+    assert rpc["parent_span_id"] == app["span_id"]
     handles = spans_named(recs, "server.handle")
     assert handles
-    assert all(r["trace_id"] == app["trace_id"] for r in handles)
-
-
-def _recv_exact(sock, count):
-    chunks = b""
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        assert chunk, "peer closed mid-frame"
-        chunks += chunk
-    return chunks
+    assert all(r["trace_id"] == app["trace_id"]
+               and r["parent_span_id"] == rpc["span_id"] for r in handles)

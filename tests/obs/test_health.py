@@ -142,7 +142,7 @@ def test_404_still_served():
 
 
 # ---------------------------------------------------------------------
-# Probe wiring: WAL and async host
+# Probe wiring: WAL
 # ---------------------------------------------------------------------
 
 def test_wal_health_reports_usable_and_failed_closed(tmp_path):
@@ -156,23 +156,6 @@ def test_wal_health_reports_usable_and_failed_closed(tmp_path):
     log._failed = False
     log.close()
     assert log.health()[0] is False
-
-
-def test_async_host_registers_and_unregisters_its_probe():
-    from repro.protocol.aio import AsyncTcpServerHost
-    from repro.server.server import CloudServer
-
-    host = AsyncTcpServerHost(CloudServer())
-    name = host._health_name
-    host.start()
-    try:
-        assert name in HEALTH.run_checks()["checks"]
-        ok, detail = host.health()
-        assert ok, detail
-    finally:
-        host.stop()
-    assert name not in HEALTH.run_checks()["checks"]
-    assert host.health()[0] is False  # stopped host is not ready
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The TCP transport: the full protocol over a real socket."""
 
+import logging
 import threading
 import time
 
@@ -94,6 +95,91 @@ def test_server_survives_bad_frames(hosted_server):
     with TcpChannel(host.address, server.ctx) as channel:
         client = AssuredDeletionClient(channel, rng=DeterministicRandom("c3"))
         client.outsource(9, [b"alive"])
+
+
+def test_oversized_frame_header_closes_without_traceback(hosted_server,
+                                                         capfd, caplog):
+    """A length word above MAX_FRAME -- here the tag bit a pipelined
+    client would set -- fails closed: one warning, the connection is
+    closed, no traceback, and the host keeps serving."""
+    import socket
+    import struct
+
+    server, host = hosted_server
+    with caplog.at_level(logging.WARNING, logger="repro.protocol.tcp"):
+        with socket.create_connection(host.address, timeout=5) as raw:
+            raw.sendall(struct.pack(">I", 0x80000005) + bytes(13))
+            assert raw.recv(4) == b""  # closed, nothing sent back
+
+    _out, err = capfd.readouterr()
+    assert "Traceback" not in err
+    warnings = [r for r in caplog.records
+                if r.name == "repro.protocol.tcp"
+                and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "oversized frame" in warnings[0].getMessage()
+
+    with TcpChannel(host.address, server.ctx) as channel:
+        client = AssuredDeletionClient(channel, rng=DeterministicRandom("c4"))
+        key = client.outsource(9, [b"alive"])
+        assert client.access(9, key, client.item_ids_of(1)[0]) == b"alive"
+
+
+def test_threads_sharing_one_channel_get_their_own_replies(hosted_server):
+    """Many threads issue requests through ONE TcpChannel; each gets the
+    reply to its own request, never another thread's."""
+    server, host = hosted_server
+    key, ids, _ks = _seeded_file(host.address, server.ctx, "shared", n=8)
+    # The state is read-only below, so each item's reply is a fixed byte
+    # string: a crossed reply would hand a thread another item's bytes.
+    expected = {
+        item: server.handle_bytes(msg.encode_message(
+            server.ctx, msg.AccessRequest(file_id=1, item_id=item)))
+        for item in ids
+    }
+    errors = []
+    with TcpChannel(host.address, server.ctx) as channel:
+
+        def reader(index):
+            try:
+                for _ in range(25):
+                    item = ids[index % len(ids)]
+                    reply = channel.request(
+                        msg.AccessRequest(file_id=1, item_id=item))
+                    assert isinstance(reply, msg.AccessReply), reply
+                    assert msg.encode_message(server.ctx, reply) == \
+                        expected[item]
+            except Exception as exc:  # noqa: BLE001 - report to main
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    assert not errors
+
+
+def test_channel_reconnects_after_host_restart():
+    """One channel outlives a host restart: the dead connection fails
+    the next attempt and the retry re-dials the restarted host."""
+    server = CloudServer()
+    host = TcpServerHost(server).start()
+    try:
+        key, ids, _ks = _seeded_file(host.address, server.ctx, "reconnect")
+        retry = RetryPolicy(attempts=4, timeout=5.0, base_delay=0.05)
+        with TcpChannel(host.address, server.ctx, retry=retry) as channel:
+            reply = channel.request(msg.AccessRequest(file_id=1,
+                                                      item_id=ids[0]))
+            assert isinstance(reply, msg.AccessReply)
+            host.stop()
+            host.start()
+            reply = channel.request(msg.AccessRequest(file_id=1,
+                                                      item_id=ids[1]))
+            assert isinstance(reply, msg.AccessReply)
+    finally:
+        host.stop()
 
 
 def test_host_requires_handle_bytes():
@@ -385,9 +471,7 @@ def test_failed_dispatch_releases_conn_slot(monkeypatch):
     leaked slot would lock every later client out forever."""
     server = CloudServer()
     with TcpServerHost(server, max_conns=1) as host:
-        threaded = getattr(host, "_server", None)
-        if threaded is None or not hasattr(threaded, "conn_slots"):
-            return  # not the threaded host (async rerun): nothing to leak
+        threaded = host._server
         # Swallow the injected dispatch error instead of printing it.
         monkeypatch.setattr(threaded, "handle_error", lambda *a: None)
         tripped = []

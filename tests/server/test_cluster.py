@@ -141,16 +141,15 @@ def test_tcp_cluster_serves_connect_sharded(tmp_path):
         fs.client.channel.close()
 
 
-@pytest.mark.socket
-def test_async_cluster_serves_connect_sharded(tmp_path):
-    with ShardCluster(2, transport="async", data_dir=str(tmp_path),
-                      wal_factory=lambda p: CommitLog(p, group_commit=True),
-                      fresh=True) as cluster:
-        fs = OutsourcedFileSystem.connect_sharded(cluster.addresses(),
-                                                  transport="async")
-        fs.create_file("aio.txt", [b"alpha"])
-        assert fs.open("aio.txt").read_all() == [b"alpha"]
-        fs.client.channel.close()
+def test_async_transport_is_rejected(tmp_path):
+    """The asyncio host is gone: "async" is no longer a transport."""
+    from repro.sim.stress import StressConfig
+
+    transport = "async"
+    with pytest.raises(ValueError):
+        ShardCluster(2, transport=transport, data_dir=str(tmp_path))
+    with pytest.raises(ValueError):
+        StressConfig(transport=transport)
 
 
 def test_addresses_requires_serving():
